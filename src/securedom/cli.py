@@ -14,13 +14,15 @@ import sys
 import time
 
 from .crosscheck import DEFAULT_SEED, GRID_RUNNERS
-from .exact import DEFAULT_MAX_N, METHOD_TRIVIAL, SolveReport, solve
+from .exact import DEFAULT_MAX_N
 from .families import FAMILY_KINDS, FamilySpec, formula_value, formula_witness, generate
 from .fast import (
+    METHODS,
     SplitRejection,
     ThresholdRejection,
     bench_block_graph,
     bench_threshold_graph,
+    gamma,
     gamma_sc_block,
     gamma_sc_threshold,
     is_bipartite,
@@ -31,8 +33,6 @@ from .fast import (
 from .graph import DomainError, Graph, ParseError, format_vertex_set, from_edge_list, parse_vertex_set, to_edge_list
 from .reductions import REDUCTION_KINDS, build, check_equivalence
 from .verify import VARIANTS, check_variant, failure_reason
-
-METHODS = ("auto", "exact", "block", "threshold")
 
 
 def _read_graph(path: str) -> Graph:
@@ -59,38 +59,9 @@ def _graph_field(graph: Graph) -> dict:
     return {"n": graph.n, "m": graph.m}
 
 
-def _dispatch_gamma(graph: Graph, variant: str, method: str, max_n: int) -> SolveReport:
-    if method == "exact":
-        return solve(graph, variant, max_n=max_n)
-    if method == "block":
-        if variant != "scds":
-            raise DomainError("the block formula computes the scds variant only")
-        return gamma_sc_block(graph)
-    if method == "threshold":
-        if variant != "scds":
-            raise DomainError("the threshold formula computes the scds variant only")
-        return gamma_sc_threshold(graph)
-    # auto: cheapest correct method first
-    if variant == "scds" and graph.n >= 1 and graph.is_connected():
-        if graph.is_complete():
-            return SolveReport(
-                variant="scds",
-                value=1,
-                witness=frozenset({0}),
-                method=METHOD_TRIVIAL,
-                elapsed=0.0,
-                nodes_explored=0,
-            )
-        if is_block_graph(graph):
-            return gamma_sc_block(graph)
-        if not isinstance(recognize_threshold(graph), ThresholdRejection):
-            return gamma_sc_threshold(graph)
-    return solve(graph, variant, max_n=max_n)
-
-
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     graph = _load_graph(args)
-    report = _dispatch_gamma(graph, args.variant, args.method, args.max_n)
+    report = gamma(graph, args.variant, args.method, max_n=args.max_n)
     if not check_variant(graph, args.variant, report.witness):
         raise RuntimeError("internal error: witness failed re-verification")
     payload = {

@@ -4,10 +4,13 @@ The solver enumerates candidate sets in increasing size and, within a size,
 in lexicographic order, returning the first certificate found.  That makes
 the reported witness the lexicographically least minimum witness, so results
 are bit-stable across runs.  Pruning (forced vertices, lower bounds, the
-complete-graph shortcut) can be disabled to cross-check soundness.
+complete-graph shortcut) can be disabled to cross-check soundness.  That
+shortcut's report is built by ``trivial_complete``, which the linear-time
+solvers and the ``auto`` dispatch in ``fast`` share.
 
-Also houses the small-graph isomorphism-class enumerator and the seeded
-random generators used as test corpora.
+Also houses the small-graph isomorphism-class enumerator (a brute-force
+relabeling table over Python ints) and the seeded random generators used as
+test corpora.
 
 This is the ground-truth oracle: everything faster in the package is
 validated against it at desk scale.
@@ -20,20 +23,10 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Iterator
 
 from .graph import DomainError, Graph
-from .verify import (
-    VARIANTS,
-    is_connected_dominating,
-    is_dominating,
-    is_scds,
-    is_secure_dominating,
-    is_stds,
-    is_total_dominating,
-)
+from .verify import CHECKERS, VARIANTS
 
 METHOD_EXACT = "exact_search"
 METHOD_BLOCK = "block_formula"
@@ -60,20 +53,20 @@ class SolveReport:
     nodes_explored: int
 
 
-def _checker(variant: str) -> Callable[[Graph, frozenset[int]], bool]:
-    if variant == "ds":
-        return is_dominating
-    if variant == "cds":
-        return is_connected_dominating
-    if variant == "tds":
-        return is_total_dominating
-    if variant == "sds":
-        return is_secure_dominating
-    if variant == "scds":
-        return is_scds
-    if variant == "stds":
-        return lambda g, s: is_stds(g, s, exhaustive=False)[0]
-    raise DomainError(f"unknown variant {variant!r}")
+def trivial_complete(start: float) -> SolveReport:
+    """The secure connected answer on a complete graph: any single vertex.
+
+    ``start`` is the caller's perf_counter reading, so elapsed covers the
+    caller's own checks.
+    """
+    return SolveReport(
+        variant="scds",
+        value=1,
+        witness=frozenset({0}),
+        method=METHOD_TRIVIAL,
+        elapsed=time.perf_counter() - start,
+        nodes_explored=0,
+    )
 
 
 def solve(
@@ -110,14 +103,7 @@ def solve(
 
     start = time.perf_counter()
     if use_pruning and variant == "scds" and graph.is_complete():
-        return SolveReport(
-            variant=variant,
-            value=1,
-            witness=frozenset({0}),
-            method=METHOD_TRIVIAL,
-            elapsed=time.perf_counter() - start,
-            nodes_explored=0,
-        )
+        return trivial_complete(start)
 
     forced: frozenset[int] = frozenset()
     lower = 1
@@ -132,7 +118,7 @@ def solve(
         elif variant == "stds":
             lower = solve(graph, "tds", max_n=max_n).value
 
-    check = _checker(variant)
+    check = CHECKERS[variant]
     free = [v for v in range(graph.n) if v not in forced]
     nodes = 0
     for size in range(max(lower, 1), graph.n + 1):
@@ -166,17 +152,24 @@ def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _permutation_powers(n: int) -> np.ndarray:
-    """Row r maps edge slot i to 2**(slot of the edge under permutation r)."""
+def _permutation_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row r maps edge slot i to 2**(slot of the edge under permutation r).
+
+    Rows share the dict's int objects, so the 8! rows at n=8 hold pointers
+    rather than a million separate ints.
+    """
     slots = _edge_slots(n)
-    index = {e: i for i, e in enumerate(slots)}
-    perms = list(permutations(range(n)))
-    table = np.empty((len(perms), len(slots)), dtype=np.int64)
-    for r, perm in enumerate(perms):
-        for i, (u, v) in enumerate(slots):
-            a, b = perm[u], perm[v]
-            table[r, i] = index[(a, b) if a < b else (b, a)]
-    return np.left_shift(np.int64(1), table)
+    power = {e: 1 << i for i, e in enumerate(slots)}
+    return tuple(
+        tuple(power[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in slots)
+        for p in permutations(range(n))
+    )
+
+
+def _relabelings(n: int, mask: int) -> Iterator[int]:
+    """The edge mask under each of the n! relabelings (duplicates included)."""
+    bits = [i for i in range(len(_edge_slots(n))) if mask >> i & 1]
+    return (sum(row[i] for i in bits) for row in _permutation_powers(n))
 
 
 def _mask_of(graph: Graph) -> int:
@@ -199,12 +192,7 @@ def canonical_form(graph: Graph) -> tuple[int, int]:
     """
     if graph.n > CANONICAL_LIMIT:
         raise DomainError(f"canonical form is brute force; n={graph.n} > {CANONICAL_LIMIT}")
-    if graph.m == 0:
-        return graph.n, 0
-    powers = _permutation_powers(graph.n)
-    mask = _mask_of(graph)
-    bits = [i for i in range(powers.shape[1]) if mask >> i & 1]
-    return graph.n, int(powers[:, bits].sum(axis=1).min())
+    return graph.n, min(_relabelings(graph.n, _mask_of(graph)))
 
 
 def _mask_connected(n: int, mask: int, slots: tuple[tuple[int, int], ...]) -> bool:
@@ -233,18 +221,22 @@ def _mask_connected(n: int, mask: int, slots: tuple[tuple[int, int], ...]) -> bo
 
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
+    """The least edge mask of every connected class, ascending.
+
+    Masks are walked upward and each new mask marks its whole orbit seen,
+    so the first mask met in an orbit is its least member: the canonical
+    mask.  Connectivity is the same across an orbit, so that member decides.
+    """
     slots = _edge_slots(n)
-    canons: set[int] = set()
-    powers = _permutation_powers(n)
+    seen: set[int] = set()
+    canons = []
     for mask in range(1 << len(slots)):
-        if not _mask_connected(n, mask, slots):
+        if mask in seen:
             continue
-        if mask == 0:
-            canons.add(0)
-            continue
-        bits = [i for i in range(len(slots)) if mask >> i & 1]
-        canons.add(int(powers[:, bits].sum(axis=1).min()))
-    return tuple(sorted(canons))
+        seen.update(_relabelings(n, mask))
+        if _mask_connected(n, mask, slots):
+            canons.append(mask)
+    return tuple(canons)
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:

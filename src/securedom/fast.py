@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import METHOD_BLOCK, METHOD_THRESHOLD, METHOD_TRIVIAL, SolveReport
+from .exact import DEFAULT_MAX_N, METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, solve, trivial_complete
 from .graph import DomainError, Graph
 
 
@@ -154,7 +154,8 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
                     cut.add(u)
     if visited != n:
         raise DomainError("block decomposition requires a connected graph")
-    assert not estack, "unclosed block"
+    if estack:
+        raise RuntimeError("block decomposition left an unclosed block")
     blocks.sort(key=lambda b: (min(b), sorted(b)))
     return BlockDecomposition(blocks=tuple(blocks), cut_vertices=frozenset(cut))
 
@@ -190,15 +191,6 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
     smallest non-cut vertex.
     """
     start = time.perf_counter()
-    if graph.n == 1:
-        return SolveReport(
-            variant="scds",
-            value=1,
-            witness=frozenset({0}),
-            method=METHOD_BLOCK,
-            elapsed=time.perf_counter() - start,
-            nodes_explored=0,
-        )
     decomp = block_decompose(graph)
     if not _blocks_are_cliques(graph, decomp):
         raise DomainError("not a block graph: some block is not a clique")
@@ -209,7 +201,8 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
         if non_cut:
             witness.add(min(non_cut))
     value = decomp.k + decomp.r - decomp.r_prime
-    assert len(witness) == value, "block witness size disagrees with the formula"
+    if len(witness) != value:
+        raise RuntimeError("block witness size disagrees with the formula")
     return SolveReport(
         variant="scds",
         value=value,
@@ -413,14 +406,7 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     if not graph.is_connected():
         raise DomainError("threshold solver requires a connected graph")
     if graph.is_complete():
-        return SolveReport(
-            variant="scds",
-            value=1,
-            witness=frozenset({0}),
-            method=METHOD_TRIVIAL,
-            elapsed=time.perf_counter() - start,
-            nodes_explored=0,
-        )
+        return trivial_complete(start)
     if _is_star(graph):
         return SolveReport(
             variant="scds",
@@ -443,7 +429,8 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     witness = frozenset({x_last, x_prev}) | window
     pendants = sum(1 for a in graph.adj if len(a) == 1)
     value = 2 + pendants
-    assert len(witness) == value, "threshold witness size disagrees with the formula"
+    if len(witness) != value:
+        raise RuntimeError("threshold witness size disagrees with the formula")
     return SolveReport(
         variant="scds",
         value=value,
@@ -452,6 +439,42 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
         elapsed=time.perf_counter() - start,
         nodes_explored=0,
     )
+
+
+# -- dispatch ----------------------------------------------------------------
+
+METHODS = ("auto", "exact", "block", "threshold")
+
+
+def gamma(
+    graph: Graph, variant: str, method: str = "auto", *, max_n: int | None = DEFAULT_MAX_N
+) -> SolveReport:
+    """Minimum certificate size and witness by the named method.
+
+    ``block`` and ``threshold`` compute scds only.  ``auto`` tries, for scds,
+    the complete-graph shortcut, then the block formula, then the threshold
+    formula, moving on when one raises DomainError (wrong class or
+    disconnected); the exact search takes the rest and reports any refusal.
+    """
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}")
+    if method == "exact":
+        return solve(graph, variant, max_n=max_n)
+    if method != "auto" and variant != "scds":
+        raise DomainError(f"the {method} formula computes the scds variant only")
+    if method == "block":
+        return gamma_sc_block(graph)
+    if method == "threshold":
+        return gamma_sc_threshold(graph)
+    if variant == "scds" and graph.n >= 1:
+        if graph.is_complete():
+            return trivial_complete(time.perf_counter())
+        for formula in (gamma_sc_block, gamma_sc_threshold):
+            try:
+                return formula(graph)
+            except DomainError:
+                pass
+    return solve(graph, variant, max_n=max_n)
 
 
 # -- misc recognizers and benchmark instances -------------------------------

@@ -52,8 +52,10 @@ class ReductionArtifact:
 
     def __post_init__(self) -> None:
         offset = REDUCTION_KINDS[self.kind][2]
-        assert self.output_parameter == self.input_parameter + offset
-        assert sorted(self.provenance) == list(range(self.output_graph.n))
+        if self.output_parameter != self.input_parameter + offset:
+            raise ValueError(f"{self.kind} shifts the parameter by {offset}")
+        if sorted(self.provenance) != list(range(self.output_graph.n)):
+            raise ValueError("provenance must name every output vertex exactly once")
 
 
 def reduce_universal(graph: Graph, k: int, kind: str = "dm_to_scdm") -> ReductionArtifact:

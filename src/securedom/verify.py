@@ -208,23 +208,27 @@ def is_stds(
     return _swap_check(graph, s, is_total_dominating, exhaustive=exhaustive)
 
 
+def _is_stds(graph: Graph, members: Iterable[int]) -> bool:
+    return is_stds(graph, members, exhaustive=False)[0]
+
+
+# The boolean checker of each variant, shared by check_variant and the exact
+# search.  Keep it a module-level dict: the benchmark tracer wraps its values.
+CHECKERS: dict[str, Callable[[Graph, Iterable[int]], bool]] = {
+    "ds": is_dominating,
+    "cds": is_connected_dominating,
+    "tds": is_total_dominating,
+    "sds": is_secure_dominating,
+    "scds": is_scds,
+    "stds": _is_stds,
+}
+
+
 def check_variant(graph: Graph, variant: str, members: Iterable[int]) -> bool:
     """Dispatch a certificate check by variant name."""
-    s = frozenset(members)
-    if variant == "ds":
-        return is_dominating(graph, s)
-    if variant == "cds":
-        return is_connected_dominating(graph, s)
-    if variant == "tds":
-        return is_total_dominating(graph, s)
-    if variant == "sds":
-        return is_secure_dominating(graph, s)
-    if variant == "scds":
-        return is_scds(graph, s)
-    if variant == "stds":
-        ok, _ = is_stds(graph, s, exhaustive=False)
-        return ok
-    raise DomainError(f"unknown variant {variant!r}")
+    if variant not in CHECKERS:
+        raise DomainError(f"unknown variant {variant!r}")
+    return CHECKERS[variant](graph, frozenset(members))
 
 
 def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | None:
@@ -246,12 +250,14 @@ def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | 
         )
         return f"vertex {missed} has no neighbor in the set"
     if variant == "sds":
-        ok, dmap = _swap_check(graph, set(s), is_dominating, exhaustive=False)
-        return f"vertex {dmap.undefended()[0]} has no valid defender"
-    if variant == "scds":
+        _, dmap = _swap_check(graph, set(s), is_dominating, exhaustive=False)
+    elif variant == "scds":
         _, dmap = is_scds_definition(graph, s, exhaustive=False)
-        return f"vertex {dmap.undefended()[0]} has no valid defender"
-    if variant == "stds":
+    elif variant == "stds":
         _, dmap = is_stds(graph, s, exhaustive=False)
-        return f"vertex {dmap.undefended()[0]} has no valid defender"
-    return "certificate check failed"
+    else:
+        return "certificate check failed"
+    # Every earlier base check passed, so an empty map means an empty set
+    # (stds on the empty graph).
+    undefended = dmap.undefended()
+    return f"vertex {undefended[0]} has no valid defender" if undefended else "set is empty"

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from securedom import Graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run a snippet in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def path_graph(n: int) -> Graph:

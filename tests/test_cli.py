@@ -79,6 +79,14 @@ def test_verify_reports_reason(graph_file, capsys):
     assert "verdict true" in out
 
 
+def test_verify_stds_empty_set_on_empty_graph(graph_file, capsys):
+    code, out, err = run(capsys, "verify", "--variant", "stds", "--set", "", "--in", graph_file("p 0 0\n"))
+    assert code == 0
+    assert "verdict false" in out
+    assert "reason set is empty" in out
+    assert "Traceback" not in err
+
+
 def test_verify_not_dominated_reason(graph_file, capsys):
     code, out, _ = run(capsys, "verify", "--variant", "ds", "--in", graph_file(P4), "--set", "0")
     assert code == 0

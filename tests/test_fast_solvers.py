@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+
+import securedom.fast as fast
 
 from conftest import bowtie_graph, complete_graph, cycle_graph, path_graph, star_graph
 from securedom import (
@@ -10,6 +14,8 @@ from securedom import (
     SplitRejection,
     ThresholdRejection,
     block_decompose,
+    enumerate_connected_graphs,
+    gamma,
     gamma_sc_block,
     gamma_sc_threshold,
     is_bipartite,
@@ -21,7 +27,7 @@ from securedom import (
     recognize_threshold,
     solve,
 )
-from securedom.exact import METHOD_BLOCK, METHOD_THRESHOLD, METHOD_TRIVIAL
+from securedom.exact import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL
 from securedom.fast import bench_block_graph, bench_threshold_graph, validate_partition
 from securedom.verify import is_scds_definition
 
@@ -84,7 +90,8 @@ def test_block_solver_examples():
     assert gamma_sc_block(path_graph(5)).value == 5
     assert gamma_sc_block(star_graph(4)).value == 5
     assert gamma_sc_block(complete_graph(4)).value == 1
-    assert gamma_sc_block(Graph.from_edges(1, [])).value == 1
+    single = gamma_sc_block(Graph.from_edges(1, []))
+    assert (single.value, single.witness, single.method) == (1, {0}, METHOD_BLOCK)
 
 
 def test_block_solver_rejects_non_block_graphs():
@@ -233,3 +240,54 @@ def test_validate_partition():
     assert validate_partition(g, SplitPartition(frozenset({1}), frozenset({0, 2})))
     assert not validate_partition(g, SplitPartition(frozenset({0, 2}), frozenset({1})))
     assert not validate_partition(g, SplitPartition(frozenset({1}), frozenset({0})))
+
+
+def test_gamma_auto_matches_oracle_on_all_small_connected_graphs():
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            report = gamma(g, "scds")
+            assert report.value == solve(g, "scds").value
+            assert is_scds_definition(g, report.witness)[0]
+
+
+def test_gamma_auto_method_per_path():
+    assert not is_block_graph(paw_like())
+    cases = [
+        (complete_graph(4), METHOD_TRIVIAL),
+        (bowtie_graph(), METHOD_BLOCK),
+        (paw_like(), METHOD_THRESHOLD),
+        (cycle_graph(4), METHOD_EXACT),
+    ]
+    for g, method in cases:
+        assert gamma(g, "scds").method == method
+    # the complete-graph shortcut runs before the exact-search size cap
+    assert gamma(complete_graph(30), "scds").value == 1
+
+
+def test_gamma_auto_runs_each_recognizer_once(monkeypatch):
+    calls = Counter()
+    for name in ("block_decompose", "recognize_threshold"):
+        def counted(graph, _name=name, _original=getattr(fast, name)):
+            calls[_name] += 1
+            return _original(graph)
+
+        monkeypatch.setattr(fast, name, counted)
+    gamma(bowtie_graph(), "scds")
+    assert calls == {"block_decompose": 1}
+    calls.clear()
+    gamma(paw_like(), "scds")
+    assert calls == {"block_decompose": 1, "recognize_threshold": 1}
+
+
+def test_gamma_named_methods_and_refusals():
+    assert gamma(bowtie_graph(), "scds", "exact").method == METHOD_EXACT
+    assert gamma(bowtie_graph(), "scds", "block").method == METHOD_BLOCK
+    assert gamma(path_graph(4), "ds").method == METHOD_EXACT
+    with pytest.raises(DomainError, match="the block formula computes the scds variant only"):
+        gamma(path_graph(4), "ds", "block")
+    with pytest.raises(DomainError, match="not a threshold graph"):
+        gamma(path_graph(4), "scds", "threshold")
+    with pytest.raises(DomainError, match="unknown method"):
+        gamma(path_graph(4), "scds", "fastest")
+    with pytest.raises(DomainError, match="variant scds requires a connected graph"):
+        gamma(Graph.from_edges(4, [(0, 1), (2, 3)]), "scds")

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import complete_graph, fig_five_vertex_graph, path_graph
+from conftest import complete_graph, fig_five_vertex_graph, path_graph, run_python
 from securedom import (
     DomainError,
     Graph,
+    ReductionArtifact,
     SplitPartition,
     check_equivalence,
     enumerate_connected_graphs,
@@ -23,6 +24,28 @@ from securedom.crosscheck import GATED_REDUCTION_KINDS
 from securedom.fast import validate_partition
 from securedom.reductions import REDUCTION_KINDS, build
 from securedom.verify import is_scds, is_scds_definition
+
+
+def test_artifact_rejects_inconsistent_fields():
+    edge = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(ValueError, match="shifts the parameter"):
+        ReductionArtifact("dm_to_scdm", edge, 1, 1, {0: "v0", 1: "x"})
+    with pytest.raises(ValueError, match="provenance"):
+        ReductionArtifact("dm_to_scdm", edge, 1, 2, {0: "v0"})
+
+
+def test_artifact_invariants_survive_python_O():
+    result = run_python(
+        "from securedom import Graph, ReductionArtifact\n"
+        "print('debug', __debug__)\n"
+        "try:\n"
+        "    ReductionArtifact('dm_to_scdm', Graph.from_edges(2, [(0, 1)]), 1, 1, {0: 'v0', 1: 'x'})\n"
+        "except ValueError as exc:\n"
+        "    print('raised', exc)\n",
+        "-O",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["debug False", "raised dm_to_scdm shifts the parameter by 1"]
 
 
 def test_universal_reduction_examples():

@@ -27,6 +27,7 @@ from securedom import (
     is_total_dominating,
 )
 from securedom.families import FamilySpec, generate
+from securedom.verify import CHECKERS, VARIANTS, check_variant
 
 
 def ladder3():
@@ -154,6 +155,12 @@ def test_defender_maps_list_only_adjacent_members():
                     for v in defenders:
                         assert v in s
                         assert g.has_edge(u, v)
+
+
+def test_checker_table_covers_every_variant():
+    assert tuple(CHECKERS) == VARIANTS
+    with pytest.raises(DomainError, match="unknown variant 'xds'"):
+        check_variant(path_graph(3), "xds", {1})
 
 
 def test_checkers_are_total_on_disconnected_graphs():
