@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse errors, 2 domain errors (wrong graph class,
-disconnected input, bad flags), 3 crosscheck mismatches.  JSON output is
+disconnected input, bad flags), 3 crosscheck mismatches, 4 internal errors
+(an answer that failed its own re-verification or a broken solver
+invariant, reported as "internal error: ..." on stderr).  JSON output is
 sorted-key and deterministic for a fixed config and seed, apart from the
 elapsed_ms field.
 """
@@ -63,7 +65,7 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     graph = _load_graph(args)
     report = gamma(graph, args.variant, args.method, max_n=args.max_n)
     if not check_variant(graph, args.variant, report.witness):
-        raise RuntimeError("internal error: witness failed re-verification")
+        raise RuntimeError(f"{report.method} witness failed {args.variant} re-verification")
     payload = {
         "command": "gamma",
         "variant": args.variant,
@@ -154,7 +156,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.emit_witness:
         witness = formula_witness(spec)
         if not check_variant(graph, "scds", witness):
-            raise RuntimeError("internal error: witness failed re-verification")
+            raise RuntimeError(f"{args.kind} formula witness failed scds re-verification")
         value = formula_value(spec)
         payload["witness"] = format_vertex_set(witness)
         payload["value"] = value
@@ -223,6 +225,8 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
 
 def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     start = time.perf_counter()
+    if args.count < 0:
+        raise DomainError(f"--count must be nonnegative, got {args.count}")
     grids = list(GRID_RUNNERS) if args.grid == "all" else [args.grid]
     results = []
     for grid in grids:
@@ -375,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -3,9 +3,22 @@
 A set S is checked against the variant's definition; the secure variants
 ("swap" variants) additionally require that every outside vertex u has a
 defender v in S adjacent to u such that (S - {v}) + {u} still satisfies the
-base property.  Two independent checkers are provided for secure connected
-domination: the literal swap definition and a private-neighbor /
-component-adjacency characterization; they must agree on every input.
+base property.
+
+The secure checkers behind ``CHECKERS`` and ``failure_reason`` never
+rebuild S: after the base check they apply local swap rules (Cockayne et
+al., Protection of a graph, Util. Math. 67, 2005) in near-linear time.
+Swapping v for u keeps S dominating iff every vertex whose only member in
+its closed neighbourhood is v lies in N[u]; it keeps S totally dominating
+iff every vertex whose only member neighbour is v lies in N(u); it keeps S
+connected dominating iff the first rule holds and u touches every component
+of G[S - v], read from one lowpoint DFS of G[S] (Hopcroft and Tarjan, CACM
+16(6), 1973).  ``is_scds_characterization`` is another name for the fast
+``is_scds``.
+
+The literal swap loop ``_swap_check`` and its wrappers ``is_scds_definition``
+and ``is_stds`` rebuild S for every pair and re-run the whole-graph check;
+they are the test oracles the fast checkers are compared against.
 
 All checkers are total: disconnected graphs or otherwise hopeless sets
 yield False rather than an error.
@@ -13,6 +26,7 @@ yield False rather than an error.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -116,14 +130,191 @@ def _swap_check(
     return ok, DefenderMap(defenders=defenders)
 
 
+def _private_neighbours(
+    adj: tuple[tuple[int, ...], ...], inside: bytearray, closed: bool
+) -> dict[int, list[int]]:
+    """The vertices private to each member, in one pass over the graph.
+
+    w is private to member v when v is its only member in N[w] (in N(w)
+    when ``closed`` is False).  Members with no private vertex are absent.
+    """
+    private: dict[int, list[int]] = {}
+    for w, nbrs in enumerate(adj):
+        sole = w if closed and inside[w] else -1
+        count = 0 if sole < 0 else 1
+        for x in nbrs:
+            if inside[x]:
+                count += 1
+                if count > 1:
+                    break
+                sole = x
+        if count == 1:
+            if sole in private:
+                private[sole].append(w)
+            else:
+                private[sole] = [w]
+    return private
+
+
+class _Lowpoints:
+    """Iterative lowpoint DFS (Hopcroft-Tarjan) of the connected subgraph
+    induced by a member set, kept in flat int lists.
+
+    ``disc`` is the preorder number, so the subtree of c holds exactly the
+    preorder numbers in [disc[c], disc[c] + size[c]).  A child c of v is
+    separating when low[c] >= disc[v]; each separating subtree is a component
+    of G[S - v], and the rest of S - v, when nonempty, is one more.
+    ``parts[v]`` counts those components; it is 1 unless v is a cut vertex.
+    """
+
+    def __init__(
+        self, adj: tuple[tuple[int, ...], ...], inside: bytearray, members: set[int] | frozenset[int]
+    ) -> None:
+        n = len(adj)
+        disc = [-1] * n
+        low = [0] * n
+        size = [1] * n
+        parent = [-1] * n
+        split = [0] * n  # separating children
+        below = [0] * n  # members inside separating subtrees
+        pos = [0] * n
+        root = min(members)
+        disc[root] = 0
+        counter = 1
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            nbrs = adj[v]
+            k = len(nbrs)
+            i = pos[v]
+            while i < k:
+                x = nbrs[i]
+                i += 1
+                if not inside[x]:
+                    continue
+                if disc[x] < 0:
+                    disc[x] = low[x] = counter
+                    counter += 1
+                    parent[x] = v
+                    stack.append(x)
+                    break
+                if disc[x] < low[v]:
+                    low[v] = disc[x]
+            else:
+                stack.pop()
+                p = parent[v]
+                if p >= 0:
+                    size[p] += size[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        split[p] += 1
+                        below[p] += size[v]
+            pos[v] = i
+        rest = len(members) - 1
+        self.adj = adj
+        self.disc, self.low, self.size, self.parent = disc, low, size, parent
+        self.parts = [c + (rest > b) for c, b in zip(split, below)]
+        self._bounds: dict[int, list[int]] = {}
+
+    def touches_all(self, v: int, members: list[int]) -> bool:
+        """Whether ``members`` (the member neighbours of an outside vertex, v
+        among them) meet every component of G[S - v].
+
+        Each member other than v is placed by bisecting its preorder number
+        into the flat bounds [start0, end0, start1, end1, ...] of v's
+        separating subtrees: an odd insertion point names one of them, an
+        even one means the rest of S - v.
+        """
+        parts = self.parts[v]
+        if len(members) <= parts:
+            return False
+        disc = self.disc
+        bounds = self._bounds.get(v)
+        if bounds is None:
+            low, size, parent = self.low, self.size, self.parent
+            bounds = []
+            for c in sorted(
+                (c for c in self.adj[v] if parent[c] == v and low[c] >= disc[v]),
+                key=disc.__getitem__,
+            ):
+                bounds += (disc[c], disc[c] + size[c])
+            self._bounds[v] = bounds
+        touched = set()
+        for x in members:
+            if x != v:
+                i = bisect_right(bounds, disc[x])
+                touched.add(i if i & 1 else 0)
+        return len(touched) == parts
+
+
+def _first_undefended(graph: Graph, variant: str, s: set[int] | frozenset[int]) -> int | None:
+    """Least outside vertex with no valid defender, or None if S is secure.
+
+    S must already have the variant's base property.  Swapping member v for
+    an adjacent outside vertex u is valid exactly when:
+
+    * sds: every w with N[w] & S == {v} lies in N[u];
+    * stds: every w with N(w) & S == {v} lies in N(u) (so w == u fails);
+    * scds: the sds rule holds and u touches every component of G[S - v].
+      When |S| == 1 there is none, and the sds rule alone asks deg u == n - 1.
+
+    Cost O(n + m) plus, for each cut vertex v of G[S] that u must try, one
+    bisection per member neighbour of u.
+    """
+    n, adj = graph.n, graph.adj
+    inside = bytearray(n)
+    for v in s:
+        inside[v] = 1
+    closed = variant != "stds"
+    private = _private_neighbours(adj, inside, closed)
+    # With |S| >= 2, S - v is nonempty, so u must also meet it through a
+    # member other than v.  Non-cut defenders leave S - v connected and need
+    # nothing more, so they are tried before the cut vertices of G[S].
+    connected = variant == "scds" and len(s) > 1
+    tree = None
+    for u in range(n):
+        if inside[u]:
+            continue
+        members = [x for x in adj[u] if inside[x]]
+        if connected and len(members) < 2:
+            return u
+        defenders = members
+        if private:
+            # Private sets of distinct members are disjoint, and each scan
+            # stops at its first vertex outside N[u], so this costs O(deg u).
+            near: set[int] | None = None
+            defenders = []
+            for v in members:
+                owned = private.get(v)
+                if owned:
+                    if near is None:
+                        near = set(adj[u])
+                        if closed:
+                            near.add(u)
+                    if len(owned) > len(near) or not all(w in near for w in owned):
+                        continue
+                defenders.append(v)
+        if not defenders:
+            return u
+        if not connected:
+            continue
+        if tree is None:
+            tree = _Lowpoints(adj, inside, s)
+        parts = tree.parts
+        if any(parts[v] == 1 for v in defenders) or any(tree.touches_all(v, members) for v in defenders):
+            continue
+        return u
+    return None
+
+
 def is_secure_dominating(graph: Graph, members: Iterable[int]) -> bool:
     """Dominating, and every outside vertex can swap in for an adjacent member
     while the set stays dominating."""
     s = set(members)
     if not is_dominating(graph, s):
         return False
-    ok, _ = _swap_check(graph, s, is_dominating, exhaustive=False)
-    return ok
+    return _first_undefended(graph, "sds", s) is None
 
 
 def is_scds_definition(
@@ -138,70 +329,24 @@ def is_scds_definition(
 
 
 def is_scds(graph: Graph, members: Iterable[int]) -> bool:
-    """Boolean-only secure-connected check (first-defender short circuit)."""
-    ok, _ = is_scds_definition(graph, members, exhaustive=False)
-    return ok
-
-
-def is_scds_characterization(graph: Graph, members: Iterable[int]) -> bool:
-    """Secure-connected check via private neighbors and component adjacency.
-
-    Given a connected dominating set S with |S| >= 2, S is secure iff
-    (i) no member has an external private neighbor, and (ii) every outside
-    vertex u has an adjacent member v such that every component of the
-    subgraph induced by S - {v} contains a neighbor of u.
-
-    The single-member case degenerates: S - {v} is empty, and a swap leaves
-    the incoming vertex alone, which works only when that vertex dominates
-    everything itself.  So a one-vertex certificate is secure exactly on
-    complete graphs, matching the literal checker.
-    """
+    """Secure-connected check by the local swap rules: S is a connected
+    dominating set and every outside vertex has a valid defender."""
     s = set(members)
     if not is_connected_dominating(graph, s):
         return False
-    if len(s) == 1:
-        return graph.is_complete()
-    # (i) no external private neighbors: every outside vertex must see the
-    # set at least twice.
-    for w in range(graph.n):
-        if w in s:
-            continue
-        hits = 0
-        for x in graph.adj[w]:
-            if x in s:
-                hits += 1
-                if hits >= 2:
-                    break
-        if hits < 2:
-            return False
-    # (ii) component adjacency, with the labeling of G[S - {v}] shared
-    # across all outside vertices that try v.
-    labelings: dict[int, tuple[dict[int, int], int]] = {}
-    for u in range(graph.n):
-        if u in s:
-            continue
-        found = False
-        for v in graph.adj[u]:
-            if v not in s:
-                continue
-            if v not in labelings:
-                lab = graph.components(restrict=s - {v})
-                labelings[v] = (lab.labels, lab.count)
-            labels, count = labelings[v]
-            touched = {labels[w] for w in graph.adj[u] if w in labels}
-            if len(touched) == count:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return _first_undefended(graph, "scds", s) is None
+
+
+# The component-adjacency characterization is exactly the scds swap rule of
+# _first_undefended, so the name now denotes the one fast checker.
+is_scds_characterization = is_scds
 
 
 def is_stds(
     graph: Graph, members: Iterable[int], *, exhaustive: bool = True
 ) -> tuple[bool, DefenderMap]:
-    """Secure total check: S is a total dominating set and every outside
-    vertex has a swap preserving total domination."""
+    """Literal secure-total check: S is a total dominating set and every
+    outside vertex has a swap preserving total domination."""
     s = set(members)
     if not s or not is_total_dominating(graph, s):
         return False, DefenderMap(defenders={})
@@ -209,7 +354,10 @@ def is_stds(
 
 
 def _is_stds(graph: Graph, members: Iterable[int]) -> bool:
-    return is_stds(graph, members, exhaustive=False)[0]
+    s = set(members)
+    if not s or not is_total_dominating(graph, s):
+        return False
+    return _first_undefended(graph, "stds", s) is None
 
 
 # The boolean checker of each variant, shared by check_variant and the exact
@@ -232,12 +380,17 @@ def check_variant(graph: Graph, variant: str, members: Iterable[int]) -> bool:
 
 
 def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | None:
-    """Human-readable reason a certificate fails, or None if it passes."""
+    """Human-readable reason a certificate fails, or None if it passes.
+
+    A secure-variant failure names the least undefended vertex, the one the
+    literal swap loop stops at.
+    """
+    if variant not in CHECKERS:
+        raise DomainError(f"unknown variant {variant!r}")
     s = frozenset(members)
-    if check_variant(graph, variant, s):
-        return None
     if variant in ("ds", "cds", "sds", "scds") and not is_dominating(graph, s):
-        missed = min(v for v in range(graph.n) if v not in graph.closed_neighborhood(s))
+        covered = graph.closed_neighborhood(s)
+        missed = min(v for v in range(graph.n) if v not in covered)
         return f"vertex {missed} is not dominated"
     if variant in ("cds", "scds"):
         if not s:
@@ -249,15 +402,9 @@ def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | 
             v for v in range(graph.n) if not any(w in s for w in graph.adj[v])
         )
         return f"vertex {missed} has no neighbor in the set"
-    if variant == "sds":
-        _, dmap = _swap_check(graph, set(s), is_dominating, exhaustive=False)
-    elif variant == "scds":
-        _, dmap = is_scds_definition(graph, s, exhaustive=False)
-    elif variant == "stds":
-        _, dmap = is_stds(graph, s, exhaustive=False)
-    else:
-        return "certificate check failed"
-    # Every earlier base check passed, so an empty map means an empty set
-    # (stds on the empty graph).
-    undefended = dmap.undefended()
-    return f"vertex {undefended[0]} has no valid defender" if undefended else "set is empty"
+    if variant not in ("sds", "scds", "stds"):
+        return None
+    if variant == "stds" and not s:
+        return "set is empty"
+    undefended = _first_undefended(graph, variant, s)
+    return None if undefended is None else f"vertex {undefended} has no valid defender"

@@ -34,6 +34,7 @@ from securedom.crosscheck import (
 )
 from securedom.families import FamilySpec, formula_value, formula_witness, generate
 from securedom.fast import bench_block_graph, bench_threshold_graph
+from securedom.verify import check_variant
 
 # The closed-form secure-connected values for the acceptance grid.  The
 # three-rung-wide entries follow n + ceil(n/3): 5 + 2 = 7 for the 5-ladder.
@@ -270,5 +271,29 @@ def test_criterion_9_linear_solvers_scale(name, builder, solver):
     _line(
         f"criterion 9 ({name} solver linearity)",
         base < 1.0 and ratio < 3.0,
+        f"n=1e5: {base * 1000:.0f}ms, n=2e5: {doubled * 1000:.0f}ms, ratio {ratio:.2f}",
+    )
+
+
+@pytest.mark.parametrize(
+    "name,builder,solver",
+    [
+        ("block", bench_block_graph, gamma_sc_block),
+        ("threshold", bench_threshold_graph, gamma_sc_threshold),
+    ],
+)
+def test_criterion_10_witness_reverification_scales(name, builder, solver):
+    """The re-check `gamma` runs before printing stays near-linear."""
+    runtimes = []
+    for n in (100_000, 200_000):
+        graph = builder(n)
+        witness = solver(graph).witness
+        assert check_variant(graph, "scds", witness)
+        runtimes.append(_median_runtime(lambda g: check_variant(g, "scds", witness), graph))
+    base, doubled = runtimes
+    ratio = doubled / base if base > 0 else float("inf")
+    _line(
+        f"criterion 10 ({name} witness re-verification linearity)",
+        ratio < 3.0,
         f"n=1e5: {base * 1000:.0f}ms, n=2e5: {doubled * 1000:.0f}ms, ratio {ratio:.2f}",
     )

@@ -207,3 +207,32 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "gamma", "--in", str(path))
     assert code == 1
     assert "not ASCII" in err
+
+
+def test_failed_reverification_is_an_internal_error(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr("securedom.cli.check_variant", lambda graph, variant, members: False)
+    code, out, err = run(capsys, "gamma", "--variant", "scds", "--in", graph_file(BOWTIE))
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: block_formula witness failed scds re-verification\n"
+    code, _, err = run(capsys, "family", "--kind", "ladder", "--n", "3", "--emit-witness")
+    assert code == 4
+    assert err.startswith("internal error: ladder formula witness")
+    assert "Traceback" not in err
+
+
+def test_solver_invariant_failure_is_an_internal_error(graph_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("block witness size disagrees with the formula")
+
+    monkeypatch.setattr("securedom.cli.gamma", broken)
+    code, _, err = run(capsys, "gamma", "--in", graph_file(BOWTIE))
+    assert code == 4
+    assert err == "internal error: block witness size disagrees with the formula\n"
+
+
+def test_crosscheck_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "crosscheck", "--grid", "trees", "--count", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--count must be nonnegative" in err

@@ -267,13 +267,13 @@ def test_equivalence_checker_rejects_oversized_outputs():
 
 def _second_route_scds_value(g: Graph) -> int:
     # independent route end to end: descending bitmask enumeration paired
-    # with the characterization checker instead of the swap definition
-    from securedom.verify import is_scds_characterization
+    # with the literal swap definition instead of the local swap rules
+    from securedom.verify import is_scds_definition
 
     best = g.n
     for mask in range((1 << g.n) - 1, 0, -1):
         members = frozenset(v for v in range(g.n) if mask >> v & 1)
-        if len(members) < best and is_scds_characterization(g, members):
+        if len(members) < best and is_scds_definition(g, members)[0]:
             best = len(members)
     return best
 

@@ -27,7 +27,15 @@ from securedom import (
     is_total_dominating,
 )
 from securedom.families import FamilySpec, generate
-from securedom.verify import CHECKERS, VARIANTS, check_variant
+from securedom.exact import random_graph
+from securedom.verify import (
+    CHECKERS,
+    VARIANTS,
+    _swap_check,
+    check_variant,
+    failure_reason,
+    is_scds,
+)
 
 
 def ladder3():
@@ -155,6 +163,84 @@ def test_defender_maps_list_only_adjacent_members():
                     for v in defenders:
                         assert v in s
                         assert g.has_edge(u, v)
+
+
+# The base check of each secure variant; the literal swap loop re-runs it
+# after every swap.
+SECURE_BASES = {
+    "sds": is_dominating,
+    "scds": is_connected_dominating,
+    "stds": is_total_dominating,
+}
+
+
+def _assert_fast_matches_literal(g, s, counts):
+    """For each secure variant whose base property S has, the fast checker and
+    failure_reason agree with the literal swap loop, down to the vertex named."""
+    for variant, base in SECURE_BASES.items():
+        if not s and variant == "stds" or not base(g, s):
+            continue
+        counts[variant] += 1
+        ok, dmap = _swap_check(g, set(s), base, exhaustive=False)
+        expected = None if ok else f"vertex {dmap.undefended()[0]} has no valid defender"
+        case = (g.n, g.edges(), sorted(s), variant)
+        assert check_variant(g, variant, s) == ok, case
+        assert failure_reason(g, variant, s) == expected, case
+
+
+def test_local_swap_rules_match_literal_swap_loop_on_all_small_graphs():
+    counts = dict.fromkeys(SECURE_BASES, 0)
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for s in all_subsets(n):
+                _assert_fast_matches_literal(g, s, counts)
+    assert sum(counts.values()) == 13_361
+    assert min(counts.values()) > 0
+
+
+def test_local_swap_rules_match_literal_swap_loop_on_seeded_gnp():
+    counts = dict.fromkeys(SECURE_BASES, 0)
+    for seed in range(72):
+        n = 7 + seed % 3
+        g = random_graph(n, 0.25 + 0.15 * (seed % 3), 500 + seed)
+        for s in all_subsets(n):
+            _assert_fast_matches_literal(g, s, counts)
+    assert min(counts.values()) > 0
+
+
+def test_characterization_is_the_fast_checker():
+    assert is_scds_characterization is is_scds
+    assert CHECKERS["scds"] is is_scds
+
+
+def test_checks_run_a_bounded_number_of_whole_graph_base_checks(monkeypatch):
+    import securedom.verify as verify
+
+    calls = []
+    for name in ("is_dominating", "is_connected_dominating", "is_total_dominating"):
+        original = getattr(verify, name)
+
+        def counted(graph, members, original=original):
+            calls.append(original)
+            return original(graph, members)
+
+        monkeypatch.setattr(verify, name, counted)
+    # a path of 60 vertices: its interior is the secure connected set, and
+    # dropping one interior vertex disconnects it
+    g = Graph.from_edges(60, [(i, i + 1) for i in range(59)])
+    interior = frozenset(range(1, 59))
+    for variant, members in (
+        ("scds", interior),
+        ("sds", frozenset(range(0, 60, 2))),
+        ("stds", interior),
+        ("scds", interior - {30}),
+    ):
+        calls.clear()
+        check_variant(g, variant, members)
+        assert len(calls) <= 3, variant
+        calls.clear()
+        failure_reason(g, variant, members)
+        assert len(calls) <= 3, variant
 
 
 def test_checker_table_covers_every_variant():
