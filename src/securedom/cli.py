@@ -32,7 +32,16 @@ from .fast import (
     recognize_split,
     recognize_threshold,
 )
-from .graph import DomainError, Graph, ParseError, format_vertex_set, from_edge_list, parse_vertex_set, to_edge_list
+from .graph import (
+    DomainError,
+    Graph,
+    ParseError,
+    format_vertex_set,
+    from_edge_list,
+    parse_vertex_set,
+    require_vertex_count,
+    to_edge_list,
+)
 from .reductions import REDUCTION_KINDS, build, check_equivalence
 from .verify import VARIANTS, check_variant, failure_reason
 
@@ -267,6 +276,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_bench(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     solver = gamma_sc_block if args.method == "block" else gamma_sc_threshold
     builder = bench_block_graph if args.method == "block" else bench_threshold_graph
+    if args.doubling:
+        require_vertex_count(2 * args.n, "the doubled bench instance")
 
     def run(n: int) -> tuple[int, float]:
         graph = builder(n)

@@ -3,10 +3,20 @@
 The solver enumerates candidate sets in increasing size and, within a size,
 in lexicographic order, returning the first certificate found.  That makes
 the reported witness the lexicographically least minimum witness, so results
-are bit-stable across runs.  Pruning (forced vertices, lower bounds, the
-complete-graph shortcut) can be disabled to cross-check soundness.  That
-shortcut's report is built by ``trivial_complete``, which the linear-time
-solvers and the ``auto`` dispatch in ``fast`` share.
+are bit-stable across runs.
+
+The pruned search (forced vertices, lower bounds, the complete-graph
+shortcut) walks those candidates depth first as Python-int vertex masks,
+carrying the prefix cover and double cover of the chosen members.  A branch
+that cannot dominate even with every remaining vertex is cut, and a
+full-size candidate reaches the variant's checker only if it dominates and,
+for scds and stds sets of two or more, covers every outside vertex twice (see
+``_bitset_search`` for why both filters only drop sets the checker would
+reject).  Every returned witness has passed ``verify.CHECKERS``.  Pruning
+can be disabled for soundness cross-checks: the search then feeds every
+subset straight to the checker.  The complete-graph report is built by
+``trivial_complete``, which the linear-time solvers and the ``auto``
+dispatch in ``fast`` share.
 
 Also houses the small-graph isomorphism-class enumerator (a brute-force
 relabeling table over Python ints) and the seeded random generators used as
@@ -23,7 +33,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import DomainError, Graph
 from .verify import CHECKERS, VARIANTS
@@ -40,9 +50,11 @@ DEFAULT_MAX_N = 20
 class SolveReport:
     """Result of a minimum-domination computation.
 
-    nodes_explored counts candidate sets tested in the reported search
-    (bound-estimation sub-solves are not included); elapsed is wall time
-    in seconds.
+    nodes_explored counts the full-size candidates the reported search
+    reached: with pruning, those the bitset walk arrives at after its branch
+    cut, whether or not they pass the cover filters; without, every subset
+    passed to the checker.  Bound-estimation sub-solves are not included.
+    The count is deterministic.  elapsed is wall time in seconds.
     """
 
     variant: str
@@ -85,8 +97,11 @@ def solve(
     With ``use_pruning`` the secure-connected search short-circuits complete
     graphs, forces leaves and supports into every candidate (n >= 3), and
     starts at max(1 + domination number, forced-set size); the secure-total
-    search starts at the total domination number.  Disabling pruning
-    enumerates every subset from size 1, for soundness cross-checks.
+    search starts at the total domination number.  The pruned candidates
+    are walked as bitsets in the same order, with a branch cut and two cover
+    filters in front of the checker (``_bitset_search``).  Disabling pruning
+    passes every subset from size 1, in combinations order, straight to the
+    checker, for soundness cross-checks.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -119,25 +134,122 @@ def solve(
             lower = solve(graph, "tds", max_n=max_n).value
 
     check = CHECKERS[variant]
-    free = [v for v in range(graph.n) if v not in forced]
+    if use_pruning:
+        witness, nodes = _bitset_search(graph, variant, forced, lower, check)
+    else:
+        witness, nodes = _plain_search(graph, check)
+    if witness is None:
+        raise RuntimeError(f"no {variant} certificate up to size n; preconditions violated?")
+    return SolveReport(
+        variant=variant,
+        value=len(witness),
+        witness=witness,
+        method=METHOD_EXACT,
+        elapsed=time.perf_counter() - start,
+        nodes_explored=nodes,
+    )
+
+
+def _plain_search(
+    graph: Graph, check: Callable[[Graph, frozenset[int]], bool]
+) -> tuple[frozenset[int] | None, int]:
+    """Every subset by size, then in combinations order, straight into ``check``."""
     nodes = 0
-    for size in range(max(lower, 1), graph.n + 1):
-        need = size - len(forced)
-        if need < 0:
-            continue
-        for combo in combinations(free, need):
+    for size in range(1, graph.n + 1):
+        for combo in combinations(range(graph.n), size):
             nodes += 1
-            candidate = forced | frozenset(combo)
+            if check(graph, frozenset(combo)):
+                return frozenset(combo), nodes
+    return None, nodes
+
+
+def _bitset_search(
+    graph: Graph,
+    variant: str,
+    forced: frozenset[int],
+    lower: int,
+    check: Callable[[Graph, frozenset[int]], bool],
+) -> tuple[frozenset[int] | None, int]:
+    """The first candidate, by size from ``lower`` and then in combinations
+    order over the free vertices, that passes the cover filters and ``check``.
+
+    Vertex sets are Python-int masks.  A candidate is the forced set plus one
+    combination of the free vertices, walked depth first in combinations
+    order; each depth carries the prefix union ``once`` of the members' cover
+    masks (N[v], or N(v) for tds and stds) and ``twice``, the vertices
+    covered at least twice, both seeded with the forced set.  The filters
+    only drop sets that ``check`` rejects, so the first survivor it accepts
+    is the first certificate in the plain order:
+
+    - every variant dominates (totally for tds and stds), so a branch is cut
+      as soon as ``once`` together with the masks of every later free vertex
+      misses a vertex, and a full-size candidate is dropped unless ``once``
+      is full;
+    - for scds and stds with |S| >= 2, a full-size candidate is dropped
+      unless every outside vertex has two member neighbours (``twice``
+      joined with S is full).  A valid swap of u for its defender v needs a
+      neighbour of u in the non-empty S - v: for (S - v) + u to stay
+      connected (scds), or for u itself to stay totally dominated (stds).
+
+    Returns the witness, or None when no size up to n has one, and the
+    number of full-size candidates the walk reached.
+    """
+    closed = variant not in ("tds", "stds")
+    cover = [sum(1 << w for w in nbrs) | closed << v for v, nbrs in enumerate(graph.adj)]
+    full = (1 << graph.n) - 1
+    free = [v for v in range(graph.n) if v not in forced]
+    masks = [cover[v] for v in free]
+    bits = [1 << v for v in free]
+    rest = [0] * (len(free) + 1)  # rest[i]: union of the masks of free[i:]
+    for i in range(len(free) - 1, -1, -1):
+        rest[i] = rest[i + 1] | masks[i]
+    base_once = base_twice = base_members = 0
+    for v in forced:
+        base_twice |= base_once & cover[v]
+        base_once |= cover[v]
+        base_members |= 1 << v
+
+    nodes = 0
+    double = False
+    chosen: list[int] = []
+
+    def extend(first: int, left: int, once: int, twice: int, members: int) -> frozenset[int] | None:
+        nonlocal nodes
+        for i in range(first, len(free) - left + 1):
+            if once | rest[i] != full:
+                return None
+            if left > 1:
+                chosen.append(free[i])
+                found = extend(i + 1, left - 1, once | masks[i], twice | (once & masks[i]), members | bits[i])
+                chosen.pop()
+                if found is not None:
+                    return found
+                continue
+            nodes += 1
+            c = masks[i]
+            if once | c != full:
+                continue
+            if double and twice | (once & c) | members | bits[i] != full:
+                continue
+            candidate = forced.union(chosen, (free[i],))
             if check(graph, candidate):
-                return SolveReport(
-                    variant=variant,
-                    value=size,
-                    witness=candidate,
-                    method=METHOD_EXACT,
-                    elapsed=time.perf_counter() - start,
-                    nodes_explored=nodes,
-                )
-    raise RuntimeError(f"no {variant} certificate up to size n; preconditions violated?")
+                return candidate
+        return None
+
+    for size in range(lower, graph.n + 1):
+        need = size - len(forced)
+        double = variant in ("scds", "stds") and size >= 2
+        if need > 0:
+            found = extend(0, need, base_once, base_twice, base_members)
+        elif need == 0:
+            nodes += 1
+            covered = base_once == full and (not double or base_twice | base_members == full)
+            found = forced if covered and check(graph, forced) else None
+        else:
+            continue
+        if found is not None:
+            return found, nodes
+    return None, nodes
 
 
 # -- small-graph enumeration up to isomorphism ----------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DomainError, Graph
+from .graph import DomainError, Graph, require_vertex_count
 
 FAMILY_KINDS = ("complete", "subdivided_wheel", "book", "ladder", "star")
 
@@ -22,10 +22,20 @@ _MIN_PARAM = {
     "star": 2,
 }
 
+# Vertex count of each kind's member for parameter n (see ``generate``).
+_VERTEX_COUNT = {
+    "complete": lambda n: n,
+    "subdivided_wheel": lambda n: 2 * n + 1,
+    "book": lambda n: 2 * n + 2,
+    "ladder": lambda n: 2 * n,
+    "star": lambda n: n + 1,
+}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family kind plus its size parameter (bounds per kind enforced)."""
+    """A family kind plus its size parameter (bounds per kind enforced; the
+    member may not exceed ``graph.MAX_VERTICES`` vertices)."""
 
     kind: str
     n: int
@@ -37,6 +47,7 @@ class FamilySpec:
             raise DomainError(
                 f"family {self.kind} needs n >= {_MIN_PARAM[self.kind]}, got {self.n}"
             )
+        require_vertex_count(_VERTEX_COUNT[self.kind](self.n), f"family {self.kind} with n={self.n}")
 
 
 def generate(spec: FamilySpec) -> Graph:

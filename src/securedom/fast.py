@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exact import DEFAULT_MAX_N, METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, solve, trivial_complete
-from .graph import DomainError, Graph
+from .graph import DomainError, Graph, require_vertex_count
 
 
 @dataclass(frozen=True)
@@ -503,6 +503,7 @@ def bench_block_graph(n: int) -> Graph:
     tail so the instance hits the requested vertex count exactly."""
     if n < 2:
         raise DomainError("bench instance needs n >= 2")
+    require_vertex_count(n, "bench instance")
     edges: list[tuple[int, int]] = []
     v = 0
     while n - 1 - v >= 3:
@@ -519,6 +520,7 @@ def bench_threshold_graph(n: int) -> Graph:
     vertices, so the edge count stays linear in n."""
     if n < 4:
         raise DomainError("bench instance needs n >= 4")
+    require_vertex_count(n, "bench instance")
     edges = [(u, n - 2) for u in range(n - 2)]
     edges += [(u, n - 1) for u in range(n - 1)]
     return Graph.from_edges(n, edges)

@@ -31,6 +31,13 @@ class DomainError(ValueError):
     """Structurally valid input outside an operation's domain."""
 
 
+def require_vertex_count(count: int, what: str) -> None:
+    """Refuse a generated graph above MAX_VERTICES before it is built, so a
+    mistyped size parameter fails at once instead of exhausting memory."""
+    if count > MAX_VERTICES:
+        raise DomainError(f"{what} would have {count} vertices; the cap is {MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class ComponentLabeling:
     """Connected-component labels for a graph or an induced subgraph.

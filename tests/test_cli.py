@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import run_python
 from securedom.cli import main
 
 P4 = "0 1\n1 2\n2 3\n"
@@ -178,6 +179,32 @@ def test_family_rejects_bad_parameter(capsys):
     code, _, err = run(capsys, "family", "--kind", "ladder", "--n", "2")
     assert code == 2
     assert "needs n >=" in err
+
+
+# One step above graph.MAX_VERTICES (1e7) for each size parameter:
+# ladder has 2n vertices, star n + 1, and --doubling also builds 2n.
+ABOVE_VERTEX_CAP = [
+    ["family", "--kind", "ladder", "--n", "5000001"],
+    ["family", "--kind", "complete", "--n", "10000001"],
+    ["gamma", "--family", "star", "--n", "10000000"],
+    ["bench", "--method", "block", "--n", "10000001"],
+    ["bench", "--method", "threshold", "--n", "10000001"],
+    ["bench", "--method", "block", "--n", "5000001", "--doubling"],
+]
+
+
+def test_size_parameters_above_the_vertex_cap_are_refused_before_building():
+    # Under a 512 MiB address-space limit, building any of these graphs ends
+    # in a MemoryError rather than exit code 2.
+    result = run_python(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from securedom.cli import main\n"
+        f"print([main(argv) for argv in {ABOVE_VERTEX_CAP!r}])\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr([2] * len(ABOVE_VERTEX_CAP))
+    assert result.stderr.count("the cap is 10000000") == len(ABOVE_VERTEX_CAP), result.stderr
 
 
 def test_check_equivalence_split_kind_recognizes_partition(graph_file, capsys):

@@ -20,7 +20,7 @@ from securedom import (
 from securedom.exact import METHOD_EXACT, METHOD_TRIVIAL
 from securedom.families import FamilySpec, generate
 from securedom.fast import ThresholdRejection, is_block_graph, recognize_threshold
-from securedom.verify import check_variant
+from securedom.verify import VARIANTS, check_variant
 
 
 def test_scds_spec_values():
@@ -114,16 +114,43 @@ def test_secure_connected_witnesses_contain_leaves_and_supports():
 
 
 def test_pruned_search_matches_plain_enumeration():
-    cases = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
-    cases += [random_graph(n, 0.4, seed) for n, seed in ((6, 11), (7, 12), (7, 13), (8, 14), (8, 15))]
+    # the bitset walk with its cover filters against every subset straight
+    # into the checker: same value and same lexicographically least witness
+    cases = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    cases += [random_graph(7 + seed % 3, 0.25 + 0.15 * (seed % 3), 900 + seed) for seed in range(24)]
     for g in cases:
-        pruned = solve(g, "scds")
-        plain = solve(g, "scds", use_pruning=False)
-        assert pruned.value == plain.value
-        assert pruned.witness == plain.witness
-        fast_total = solve(g, "stds") if g.n >= 2 else None
-        if fast_total is not None:
-            assert fast_total.value == solve(g, "stds", use_pruning=False).value
+        for variant in VARIANTS:
+            if variant in ("tds", "stds") and g.n < 2:
+                continue
+            pruned = solve(g, variant)
+            plain = solve(g, variant, use_pruning=False)
+            case = (g.n, g.edges(), variant)
+            assert (pruned.value, pruned.witness) == (plain.value, plain.witness), case
+
+
+@pytest.mark.parametrize(
+    "kind,k,variant,witness",
+    [
+        ("ladder", 8, "scds", (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 14)),
+        ("ladder", 8, "stds", (0, 1, 2, 3, 4, 6, 9, 12, 14, 15)),
+        ("ladder", 9, "scds", (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 16)),
+        ("ladder", 9, "stds", (0, 1, 2, 3, 5, 7, 8, 10, 13, 14, 16)),
+        ("subdivided_wheel", 8, "scds", (0, 2, 4, 6, 8, 10, 12, 14, 16)),
+        ("subdivided_wheel", 8, "stds", (0, 2, 4, 6, 8, 10, 12, 14, 16)),
+    ],
+)
+def test_exact_answers_on_the_oracle_corpus_are_pinned(kind, k, variant, witness):
+    # recorded with the set-based search that preceded the bitset walk
+    report = solve(generate(FamilySpec(kind, k)), variant)
+    assert (report.value, report.witness, report.method) == (len(witness), frozenset(witness), METHOD_EXACT)
+
+
+def test_branch_cut_bounds_the_candidates_reached():
+    # the set-based search tested 218,390 candidates on ladder 9 scds
+    ladder9 = generate(FamilySpec("ladder", 9))
+    first = solve(ladder9, "scds").nodes_explored
+    assert first < 218_390
+    assert solve(ladder9, "scds").nodes_explored == first
 
 
 def test_enumeration_class_counts():

@@ -8,16 +8,20 @@ from securedom.verify import is_scds_definition
 
 
 def test_parameter_bounds():
-    for kind, floor in (
-        ("complete", 1),
-        ("subdivided_wheel", 3),
-        ("book", 2),
-        ("ladder", 3),
-        ("star", 2),
+    # ceilings: the largest parameter whose member has at most 1e7 vertices
+    for kind, floor, ceiling in (
+        ("complete", 1, 10_000_000),
+        ("subdivided_wheel", 3, 4_999_999),
+        ("book", 2, 4_999_999),
+        ("ladder", 3, 5_000_000),
+        ("star", 2, 9_999_999),
     ):
         FamilySpec(kind, floor)
         with pytest.raises(DomainError):
             FamilySpec(kind, floor - 1)
+        FamilySpec(kind, ceiling)
+        with pytest.raises(DomainError, match="the cap is 10000000"):
+            FamilySpec(kind, ceiling + 1)
     with pytest.raises(DomainError):
         FamilySpec("wheel", 3)
 

@@ -120,6 +120,22 @@ def test_checkers_agree_on_all_subsets_of_small_connected_graphs():
                 assert is_scds_definition(g, s)[0] == is_scds_characterization(g, s)
 
 
+def test_secure_connected_and_total_sets_cover_outside_vertices_twice():
+    # the exact search drops candidates that fail this before the checker:
+    # a swap of u for v leaves u needing a neighbour in S - v
+    accepted = 0
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            for s in all_subsets(n):
+                if len(s) < 2 or not (is_scds_definition(g, s)[0] or is_stds(g, s)[0]):
+                    continue
+                outside = [u for u in range(n) if u not in s]
+                accepted += bool(outside)
+                for u in outside:
+                    assert len(s.intersection(g.adj[u])) >= 2, (n, g.edges(), sorted(s), u)
+    assert accepted > 0
+
+
 def test_full_vertex_set_is_always_secure_on_connected_graphs():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
