@@ -24,11 +24,11 @@ from .fast import (
     ThresholdRejection,
     bench_block_graph,
     bench_threshold_graph,
+    block_decompose,
     gamma,
     gamma_sc_block,
     gamma_sc_threshold,
     is_bipartite,
-    is_block_graph,
     recognize_split,
     recognize_threshold,
 )
@@ -117,14 +117,20 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     graph = _load_graph(args)
     start = time.perf_counter()
-    connected = graph.is_connected()
+    # block_decompose refuses exactly the graphs that are empty or
+    # disconnected, so its outcome doubles as the connectivity test.
+    try:
+        block_graph = block_decompose(graph).cliques
+        connected = True
+    except DomainError:
+        block_graph = connected = False
     split = recognize_split(graph)
     threshold = recognize_threshold(graph)
     classes = {
         "connected": connected,
         "complete": graph.is_complete(),
         "tree": connected and graph.m == graph.n - 1,
-        "block_graph": is_block_graph(graph) if connected else False,
+        "block_graph": block_graph,
         "split": not isinstance(split, SplitRejection),
         "threshold": not isinstance(threshold, ThresholdRejection),
         "bipartite": is_bipartite(graph),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DomainError, Graph, require_vertex_count
+from .graph import DomainError, Graph, require_edge_count, require_vertex_count
 
 FAMILY_KINDS = ("complete", "subdivided_wheel", "book", "ladder", "star")
 
@@ -31,11 +31,21 @@ _VERTEX_COUNT = {
     "star": lambda n: n + 1,
 }
 
+# Edge count of each kind's member for parameter n.
+_EDGE_COUNT = {
+    "complete": lambda n: n * (n - 1) // 2,
+    "subdivided_wheel": lambda n: 3 * n,
+    "book": lambda n: 3 * n + 1,
+    "ladder": lambda n: 3 * n - 2,
+    "star": lambda n: n,
+}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A family kind plus its size parameter (bounds per kind enforced; the
-    member may not exceed ``graph.MAX_VERTICES`` vertices)."""
+    member may not exceed ``graph.MAX_VERTICES`` vertices or
+    ``graph.MAX_EDGES`` edges)."""
 
     kind: str
     n: int
@@ -47,7 +57,9 @@ class FamilySpec:
             raise DomainError(
                 f"family {self.kind} needs n >= {_MIN_PARAM[self.kind]}, got {self.n}"
             )
-        require_vertex_count(_VERTEX_COUNT[self.kind](self.n), f"family {self.kind} with n={self.n}")
+        what = f"family {self.kind} with n={self.n}"
+        require_vertex_count(_VERTEX_COUNT[self.kind](self.n), what)
+        require_edge_count(_EDGE_COUNT[self.kind](self.n), what)
 
 
 def generate(spec: FamilySpec) -> Graph:

@@ -29,11 +29,13 @@ class BlockDecomposition:
 
     blocks are vertex sets ordered by smallest contained vertex; r is the
     block count, k the cut-vertex count, and r_prime the number of blocks
-    whose vertices are all cut vertices.
+    whose vertices are all cut vertices.  cliques is True iff every block
+    induces a clique, that is, iff the graph is a block graph.
     """
 
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
+    cliques: bool
 
     @property
     def r(self) -> int:
@@ -86,101 +88,94 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
     """Blocks and cut vertices via an iterative lowpoint DFS.
 
     Deterministic: neighbors are explored in ascending order and blocks are
-    sorted by their smallest vertex.  Requires a connected graph.  The edge
-    stack is kept as a flat list of endpoint pairs to limit allocation churn
-    on large sparse inputs.
+    sorted by their smallest vertex.  Requires a connected graph.  Each path
+    vertex keeps an iterator over its adjacency tuple, and the edge stack is
+    a flat list of endpoint pairs that receives every edge exactly once (a
+    tree edge from its parent side, a back edge from its lower end).  A block
+    is therefore the stack slice above its tree edge, and with k vertices it
+    is a clique iff that slice holds k(k-1)/2 edges, which sets ``cliques``
+    without a second scan.
     """
-    if graph.n == 0:
-        raise DomainError("block decomposition requires a connected graph")
     n = graph.n
+    if n == 0:
+        raise DomainError("block decomposition requires a connected graph")
     if n == 1:
-        return BlockDecomposition(blocks=(frozenset({0}),), cut_vertices=frozenset())
+        return BlockDecomposition(blocks=(frozenset({0}),), cut_vertices=frozenset(), cliques=True)
     adj = graph.adj
     disc = [0] * n
     low = [0] * n
     parent = [-1] * n
-    ptr = [0] * n
     cut: set[int] = set()
     estack: list[int] = []
     blocks: list[frozenset[int]] = []
-    root = 0
-    timer = 1
-    disc[root] = low[root] = timer
-    timer += 1
-    stack = [root]
-    root_children = 0
-    visited = 1
-    while stack:
-        v = stack[-1]
-        av = adj[v]
-        i = ptr[v]
-        if i < len(av):
-            ptr[v] = i + 1
-            w = av[i]
-            if disc[w] == 0:
+    cliques = True
+    disc[0] = low[0] = 1
+    timer = 2
+    # The DFS path, each vertex's neighbor iterator, and the edge-stack
+    # length just before the vertex's tree edge was pushed.
+    path = [0]
+    iters = [iter(adj[0])]
+    marks = [0]
+    while path:
+        v = path[-1]
+        dv = disc[v]
+        pv = parent[v]
+        for w in iters[-1]:
+            dw = disc[w]
+            if dw == 0:
                 parent[w] = v
-                if v == root:
-                    root_children += 1
+                marks.append(len(estack))
                 estack.append(v)
                 estack.append(w)
                 disc[w] = low[w] = timer
                 timer += 1
-                visited += 1
-                stack.append(w)
-            elif w != parent[v] and disc[w] < disc[v]:
+                path.append(w)
+                iters.append(iter(adj[w]))
+                break
+            if dw < dv and w != pv:
                 estack.append(v)
                 estack.append(w)
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+                if dw < low[v]:
+                    low[v] = dw
         else:
-            stack.pop()
-            if not stack:
+            path.pop()
+            iters.pop()
+            mark = marks.pop()
+            if not path:
                 break
-            u = stack[-1]
             lv = low[v]
-            if lv < low[u]:
-                low[u] = lv
-            if lv >= disc[u]:
-                members = []
-                while True:
-                    b = estack.pop()
-                    a = estack.pop()
-                    members.append(a)
-                    members.append(b)
-                    if a == u and b == v:
-                        break
-                blocks.append(frozenset(members))
-                if u != root or root_children > 1:
-                    cut.add(u)
-    if visited != n:
+            if lv < low[pv]:
+                low[pv] = lv
+            if lv >= disc[pv]:
+                ends = estack[mark:]
+                del estack[mark:]
+                members = frozenset(ends)
+                k = len(members)
+                if len(ends) != k * (k - 1):
+                    cliques = False
+                blocks.append(members)
+                if pv != 0:
+                    cut.add(pv)
+    if timer - 1 != n:
         raise DomainError("block decomposition requires a connected graph")
     if estack:
         raise RuntimeError("block decomposition left an unclosed block")
-    blocks.sort(key=lambda b: (min(b), sorted(b)))
-    return BlockDecomposition(blocks=tuple(blocks), cut_vertices=frozenset(cut))
+    if parent.count(0) > 1:
+        cut.add(0)  # the root cuts iff it has two DFS children
+    # Two blocks share at most one vertex, so the two smallest vertices of a
+    # block already fix its place in the order of sorted vertex lists, and
+    # an integer key sorts far faster than a list key.
+    def two_smallest(block: frozenset[int]) -> int:
+        lowest = sorted(block)
+        return lowest[0] * n + lowest[1]
 
-
-def _blocks_are_cliques(graph: Graph, decomp: BlockDecomposition) -> bool:
-    # Per-vertex neighbor sets are built lazily inside each block; the first
-    # missing pair ends the scan, so total work stays linear on block graphs.
-    adj = graph.adj
-    for block in decomp.blocks:
-        members = sorted(block)
-        want = len(members) - 1
-        for idx in range(want):
-            u = members[idx]
-            if len(adj[u]) < want:
-                return False
-            nbr_u = set(adj[u])
-            for v in members[idx + 1 :]:
-                if v not in nbr_u:
-                    return False
-    return True
+    blocks.sort(key=two_smallest)
+    return BlockDecomposition(blocks=tuple(blocks), cut_vertices=frozenset(cut), cliques=cliques)
 
 
 def is_block_graph(graph: Graph) -> bool:
     """True iff the (connected) graph's blocks all induce cliques."""
-    return _blocks_are_cliques(graph, block_decompose(graph))
+    return block_decompose(graph).cliques
 
 
 def gamma_sc_block(graph: Graph) -> SolveReport:
@@ -192,7 +187,7 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
     """
     start = time.perf_counter()
     decomp = block_decompose(graph)
-    if not _blocks_are_cliques(graph, decomp):
+    if not decomp.cliques:
         raise DomainError("not a block graph: some block is not a clique")
     cut = decomp.cut_vertices
     witness = set(cut)
@@ -217,16 +212,26 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
 
 
 def validate_partition(graph: Graph, partition: SplitPartition) -> bool:
-    """True iff clique/independent cover V disjointly and induce what they claim."""
+    """True iff clique/independent cover V disjointly and induce what they claim.
+
+    One flag per vertex marks the clique side: every clique vertex must have
+    |clique| - 1 flagged neighbors, and every independent vertex only
+    flagged ones.
+    """
     c, i = partition.clique, partition.independent
     if c & i or (c | i) != frozenset(range(graph.n)):
         return False
-    nbr = [set(a) for a in graph.adj]
-    for u, v in combinations(sorted(c), 2):
-        if v not in nbr[u]:
+    in_clique = bytearray(graph.n)
+    for v in c:
+        in_clique[v] = 1
+    flag = in_clique.__getitem__
+    adj = graph.adj
+    want = len(c) - 1
+    for u in c:
+        if sum(map(flag, adj[u])) != want:
             return False
     for u in i:
-        if nbr[u] & i:
+        if not all(map(flag, adj[u])):
             return False
     return True
 
@@ -273,8 +278,10 @@ def recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
     On rejection an induced 2K2/C4/C5 is reported when the search is feasible.
     """
     n = graph.n
-    order = sorted(range(n), key=lambda v: (-len(graph.adj[v]), v))
-    degs = [len(graph.adj[v]) for v in order]
+    adj = graph.adj
+    # The sort is stable over ascending ids, so equal degrees keep id order.
+    order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
+    degs = [len(adj[v]) for v in order]
     k = 0
     while k < n and degs[k] >= k:
         k += 1
@@ -326,7 +333,8 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
     if n == 0:
         return ThresholdRejection(reason="empty graph")
     adj = graph.adj
-    order = sorted(range(n), key=lambda v: (len(adj[v]), v))
+    # The sort is stable over ascending ids, so equal degrees keep id order.
+    order = sorted(range(n), key=list(map(len, adj)).__getitem__)
     lo, hi = 0, n - 1
     removed_universal: list[int] = []
     removed_isolated: list[int] = []

@@ -13,6 +13,7 @@ edges are collapsed with a warning; self-loops are rejected.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from io import StringIO
@@ -21,6 +22,9 @@ from typing import IO, Iterable
 # Ids at or above this bound are treated as corrupt input rather than a
 # request for an absurdly large adjacency table.
 MAX_VERTICES = 10**7
+# Generated graphs may not exceed this many edges.  Every sparse family
+# stays below it up to MAX_VERTICES vertices; it bounds the dense ones.
+MAX_EDGES = 2 * MAX_VERTICES
 
 
 class ParseError(ValueError):
@@ -36,6 +40,13 @@ def require_vertex_count(count: int, what: str) -> None:
     mistyped size parameter fails at once instead of exhausting memory."""
     if count > MAX_VERTICES:
         raise DomainError(f"{what} would have {count} vertices; the cap is {MAX_VERTICES}")
+
+
+def require_edge_count(count: int, what: str) -> None:
+    """Refuse a generated graph above MAX_EDGES before it is built; the
+    vertex cap alone lets a dense family ask for about 5e13 edges."""
+    if count > MAX_EDGES:
+        raise DomainError(f"{what} would have {count} edges; the cap is {MAX_EDGES}")
 
 
 @dataclass(frozen=True)
@@ -63,39 +74,30 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge iterable, validating simple-graph invariants.
 
-        Duplicate edges are collapsed silently here (the parser is the layer
-        that warns); self-loops and out-of-range endpoints raise.  Adjacency
-        is assembled by sorting directed pairs and grouping, so construction
-        stays lean on large sparse inputs.
+        Duplicate edges (in either orientation) are collapsed silently here,
+        so ``m`` counts distinct edges and the parser derives its duplicate
+        warning from it; self-loops and out-of-range endpoints raise.  Each
+        edge appends its endpoints to per-vertex buckets; the buckets are
+        deduplicated only when their set sizes show a repeated edge, and each
+        is sorted in place once, so construction is linear apart from the
+        per-vertex sorts.
         """
         if n < 0:
             raise DomainError(f"vertex count must be nonnegative, got {n}")
-        pairs: list[tuple[int, int]] = []
+        buckets: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            pairs.append((u, v))
-            pairs.append((v, u))
-        pairs.sort()
-        adj: list[tuple[int, ...]] = [()] * n
-        m = 0
-        i = 0
-        total = len(pairs)
-        while i < total:
-            src = pairs[i][0]
-            nbrs: list[int] = []
-            last = -1
-            while i < total and pairs[i][0] == src:
-                dst = pairs[i][1]
-                if dst != last:
-                    nbrs.append(dst)
-                    last = dst
-                i += 1
-            adj[src] = tuple(nbrs)
-            m += len(nbrs)
-        return cls(n=n, adj=tuple(adj), m=m // 2)
+            buckets[u].append(v)
+            buckets[v].append(u)
+        distinct = sum(map(len, map(set, buckets)))
+        if distinct != sum(map(len, buckets)):
+            buckets = [list(set(bucket)) for bucket in buckets]
+        for bucket in buckets:
+            bucket.sort()
+        return cls(n=n, adj=tuple(map(tuple, buckets)), m=distinct // 2)
 
     # -- basic queries ----------------------------------------------------
 
@@ -178,81 +180,93 @@ class Graph:
             raise DomainError(f"vertex {v} outside range 0..{self.n - 1}")
 
 
+def _parse_header(parts: list[str], lineno: int) -> tuple[int, int]:
+    if len(parts) != 3:
+        raise ParseError(f"line {lineno}: header must be 'p <n> <m>'")
+    try:
+        header_n, header_m = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-numeric header field") from None
+    if header_n < 0 or header_m < 0 or header_n > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: header out of range")
+    return header_n, header_m
+
+
 def from_edge_list(source: str | IO[str]) -> Graph:
     """Parse the edge-list text format into a Graph.
 
     Raises ParseError (with the offending line number) for self-loops,
     negative or oversized ids, malformed lines, or ids exceeding a declared
     header.  Duplicate edges are collapsed and reported via warnings.warn.
+
+    Each line is split once; a two-token numeric line is an edge, and only
+    the lines that fail that reading are classified further (blank,
+    comment, header or malformed), so errors keep their line order.
     """
     stream = StringIO(source) if isinstance(source, str) else source
     header_n: int | None = None
     header_m: int | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
     max_id = -1
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        try:
+            a, b = parts
+            u, v = int(a), int(b)
+        except ValueError:
+            pass
+        else:
+            if u < 0 or v < 0:
+                raise ParseError(f"line {lineno}: negative vertex id")
+            high = u if u > v else v
+            if high >= MAX_VERTICES:
+                raise ParseError(f"line {lineno}: vertex id too large")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+            if high > max_id:
+                max_id = high
+            edges.append((u, v))
             continue
-        parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if parts[0] == "p":
             if header_n is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                header_n, header_m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric header field") from None
-            if header_n < 0 or header_m < 0 or header_n > MAX_VERTICES:
-                raise ParseError(f"line {lineno}: header out of range")
+            header_n, header_m = _parse_header(parts, lineno)
             continue
+        line = raw.strip()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric vertex id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex id")
-        if u >= MAX_VERTICES or v >= MAX_VERTICES:
-            raise ParseError(f"line {lineno}: vertex id too large")
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-            edges.append(key)
-        max_id = max(max_id, u, v)
+        raise ParseError(f"line {lineno}: non-numeric vertex id in {line!r}")
     n = max_id + 1
     if header_n is not None:
         if header_n < n:
-            raise ParseError(
-                f"header declares {header_n} vertices but id {max_id} appears"
-            )
+            raise ParseError(f"header declares {header_n} vertices but id {max_id} appears")
         n = header_n
+    graph = Graph.from_edges(n, edges)
+    duplicates = len(edges) - graph.m
     if duplicates:
         warnings.warn(f"{duplicates} duplicate edge(s) collapsed", stacklevel=2)
-    if header_m is not None and header_m != len(edges):
+    if header_m is not None and header_m != graph.m:
         warnings.warn(
-            f"header declares {header_m} edges but {len(edges)} unique edges parsed",
+            f"header declares {header_m} edges but {graph.m} unique edges parsed",
             stacklevel=2,
         )
-    return Graph.from_edges(n, edges)
+    return graph
 
 
 def to_edge_list(graph: Graph) -> str:
     """Canonical serialization: header, then edges u < v in lexicographic order.
 
     Round-trips through from_edge_list and is byte-stable, so structurally
-    equal graphs serialize identically.
+    equal graphs serialize identically.  Each vertex's neighbours above it
+    are read straight from its sorted adjacency tuple.
     """
     lines = [f"p {graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
+    for u, nbrs in enumerate(graph.adj):
+        head = f"{u} "
+        for v in nbrs[bisect_right(nbrs, u) :]:
+            lines.append(head + str(v))
     return "\n".join(lines) + "\n"
 
 

@@ -17,13 +17,16 @@ from conftest import path_graph, star_graph
 from securedom import (
     check_equivalence,
     enumerate_connected_graphs,
+    from_edge_list,
     gamma_sc_block,
     gamma_sc_threshold,
+    is_block_graph,
     is_scds_characterization,
     is_scds_definition,
     random_graph,
     random_split_graph,
     solve,
+    to_edge_list,
 )
 from securedom.crosscheck import (
     DEFAULT_SEED,
@@ -294,6 +297,21 @@ def test_criterion_10_witness_reverification_scales(name, builder, solver):
     ratio = doubled / base if base > 0 else float("inf")
     _line(
         f"criterion 10 ({name} witness re-verification linearity)",
+        ratio < 3.0,
+        f"n=1e5: {base * 1000:.0f}ms, n=2e5: {doubled * 1000:.0f}ms, ratio {ratio:.2f}",
+    )
+
+
+def test_criterion_11_parse_build_recognize_pipeline_scales():
+    """Serialize, parse, build and recognize: the chain every CLI request runs."""
+
+    def pipeline(graph):
+        assert is_block_graph(from_edge_list(to_edge_list(graph)))
+
+    base, doubled = (_median_runtime(pipeline, bench_block_graph(n)) for n in (100_000, 200_000))
+    ratio = doubled / base if base > 0 else float("inf")
+    _line(
+        "criterion 11 (parse-build-recognize pipeline linearity)",
         ratio < 3.0,
         f"n=1e5: {base * 1000:.0f}ms, n=2e5: {doubled * 1000:.0f}ms, ratio {ratio:.2f}",
     )

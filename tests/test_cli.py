@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_python
 from securedom.cli import main
+from securedom.fast import METHODS
+from securedom.verify import VARIANTS
 
 P4 = "0 1\n1 2\n2 3\n"
 BOWTIE = "0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
@@ -205,6 +213,75 @@ def test_size_parameters_above_the_vertex_cap_are_refused_before_building():
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == repr([2] * len(ABOVE_VERTEX_CAP))
     assert result.stderr.count("the cap is 10000000") == len(ABOVE_VERTEX_CAP), result.stderr
+
+
+# Above graph.MAX_EDGES (2e7) with vertex counts far below MAX_VERTICES:
+# K_20000 has about 2e8 edges, and K_6326 is the first complete graph over.
+ABOVE_EDGE_CAP = [
+    ["family", "--kind", "complete", "--n", "20000"],
+    ["gamma", "--family", "complete", "--n", "20000"],
+    ["family", "--kind", "complete", "--n", "6326"],
+]
+
+
+def test_dense_families_above_the_edge_cap_are_refused_before_building():
+    # Under a 512 MiB address-space limit, building K_20000 ends in a
+    # MemoryError rather than exit code 2.
+    result = run_python(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from securedom.cli import main\n"
+        f"print([main(argv) for argv in {ABOVE_EDGE_CAP!r}])\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr([2] * len(ABOVE_EDGE_CAP))
+    assert result.stderr.splitlines() == [
+        "error: family complete with n=20000 would have 199990000 edges; the cap is 20000000",
+        "error: family complete with n=20000 would have 199990000 edges; the cap is 20000000",
+        "error: family complete with n=6326 would have 20005975 edges; the cap is 20000000",
+    ]
+
+
+# Edge-list text from lines that are mostly well formed, with every
+# malformed class mixed in.  Ids stay below 10 so each exact solve is quick.
+_FUZZ_TOKENS = st.sampled_from(["0", "3", "7", "-1", "p", "#", "x", "1.5", "+2", "10000000"])
+_FUZZ_LINES = st.one_of(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.tuples(st.integers(0, 9), st.integers(0, 20)).map(lambda h: f"p {h[0]} {h[1]}"),
+    st.lists(_FUZZ_TOKENS, max_size=4).map(" ".join),
+    st.just("# comment"),
+)
+_FUZZ_TEXTS = st.builds(
+    lambda lines, sep: sep.join(lines),
+    st.lists(_FUZZ_LINES, max_size=14),
+    st.sampled_from(["\n", "\r\n", " \t\n"]),
+)
+_FUZZ_COMMANDS = st.one_of(
+    st.just(["recognize"]),
+    st.builds(
+        lambda variant, method: ["gamma", "--variant", variant, "--method", method],
+        st.sampled_from(VARIANTS),
+        st.sampled_from(METHODS),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_FUZZ_TEXTS, command=_FUZZ_COMMANDS, fmt=st.sampled_from(["text", "json"]))
+def test_fuzzed_edge_lists_end_in_a_documented_exit_code(text, command, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["--format", fmt, *command, "--in", "-"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue()
+    else:
+        assert out.getvalue() == ""
+        prefix = "parse error: " if code == 1 else "error: "
+        assert err.getvalue().splitlines()[-1].startswith(prefix)
 
 
 def test_check_equivalence_split_kind_recognizes_partition(graph_file, capsys):

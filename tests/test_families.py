@@ -3,27 +3,44 @@ from __future__ import annotations
 import pytest
 
 from securedom import DomainError, canonical_form, solve
-from securedom.families import FAMILY_KINDS, FamilySpec, formula_value, formula_witness, generate
+from securedom.families import (
+    _EDGE_COUNT,
+    _MIN_PARAM,
+    _VERTEX_COUNT,
+    FAMILY_KINDS,
+    FamilySpec,
+    formula_value,
+    formula_witness,
+    generate,
+)
 from securedom.verify import is_scds_definition
 
 
 def test_parameter_bounds():
     # ceilings: the largest parameter whose member has at most 1e7 vertices
-    for kind, floor, ceiling in (
-        ("complete", 1, 10_000_000),
-        ("subdivided_wheel", 3, 4_999_999),
-        ("book", 2, 4_999_999),
-        ("ladder", 3, 5_000_000),
-        ("star", 2, 9_999_999),
+    # and at most 2e7 edges; only the complete graph meets the edge cap first
+    for kind, floor, ceiling, cap in (
+        ("complete", 1, 6_325, "20005975 edges; the cap is 20000000"),
+        ("subdivided_wheel", 3, 4_999_999, "vertices; the cap is 10000000"),
+        ("book", 2, 4_999_999, "vertices; the cap is 10000000"),
+        ("ladder", 3, 5_000_000, "vertices; the cap is 10000000"),
+        ("star", 2, 9_999_999, "vertices; the cap is 10000000"),
     ):
         FamilySpec(kind, floor)
         with pytest.raises(DomainError):
             FamilySpec(kind, floor - 1)
         FamilySpec(kind, ceiling)
-        with pytest.raises(DomainError, match="the cap is 10000000"):
+        with pytest.raises(DomainError, match=cap):
             FamilySpec(kind, ceiling + 1)
     with pytest.raises(DomainError):
         FamilySpec("wheel", 3)
+
+
+def test_size_formulas_match_generated_members():
+    for kind in FAMILY_KINDS:
+        for n in range(_MIN_PARAM[kind], 12):
+            g = generate(FamilySpec(kind, n))
+            assert (g.n, g.m) == (_VERTEX_COUNT[kind](n), _EDGE_COUNT[kind](n)), (kind, n)
 
 
 def test_subdivided_wheel_structure():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from collections import Counter
+import json
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -21,12 +22,14 @@ from securedom import (
     is_bipartite,
     is_block_graph,
     random_block_graph,
+    random_graph,
     random_split_graph,
     random_threshold_graph,
     recognize_split,
     recognize_threshold,
     solve,
 )
+from securedom.cli import main
 from securedom.exact import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL
 from securedom.fast import bench_block_graph, bench_threshold_graph, validate_partition
 from securedom.verify import is_scds_definition
@@ -74,6 +77,94 @@ def test_block_decomposition_invariants():
 def test_block_decompose_requires_connected():
     with pytest.raises(DomainError, match="connected"):
         block_decompose(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _blocks_are_cliques_oracle(graph, blocks):
+    """The pairwise clique scan over each block's sorted members."""
+    adj = graph.adj
+    for block in blocks:
+        members = sorted(block)
+        want = len(members) - 1
+        for idx in range(want):
+            u = members[idx]
+            if len(adj[u]) < want:
+                return False
+            nbr_u = set(adj[u])
+            for v in members[idx + 1 :]:
+                if v not in nbr_u:
+                    return False
+    return True
+
+
+def _blocks_and_cuts_oracle(graph):
+    """Blocks and cut vertices of a connected graph from vertex deletions.
+
+    Two edges share a block iff no vertex x leaves them in different
+    components of G - x (an edge at x goes with its other end), and x is a
+    cut vertex iff G - x is disconnected.
+    """
+    if graph.n == 1:
+        return (frozenset({0}),), frozenset()
+    everyone = set(range(graph.n))
+    edges = graph.edges()
+    signature = defaultdict(list)
+    cuts = set()
+    labelings = []
+    for x in range(graph.n):
+        labeling = graph.components(restrict=everyone - {x})
+        if labeling.count > 1:
+            cuts.add(x)
+        labelings.append(labeling.labels)
+    for u, v in edges:
+        key = tuple(labels[v if u == x else u] for x, labels in enumerate(labelings))
+        signature[key].append((u, v))
+    blocks = [frozenset(w for e in group for w in e) for group in signature.values()]
+    return tuple(sorted(blocks, key=sorted)), frozenset(cuts)
+
+
+def _differential_corpus():
+    for n in range(1, 7):
+        yield from enumerate_connected_graphs(n)
+    for n in range(7, 31):
+        for p in (3.0 / n, 0.3):
+            yield random_graph(n, p, seed=1000 * n + int(100 * p))
+        yield random_block_graph(n, seed=n)
+
+
+def test_block_decompose_matches_deletion_oracle():
+    checked = block_graphs = 0
+    for g in _differential_corpus():
+        d = block_decompose(g)
+        blocks, cuts = _blocks_and_cuts_oracle(g)
+        expected_cliques = _blocks_are_cliques_oracle(g, blocks)
+        assert (d.blocks, d.cut_vertices, d.cliques) == (blocks, cuts, expected_cliques), g.edges()
+        assert is_block_graph(g) == expected_cliques
+        checked += 1
+        block_graphs += expected_cliques
+    # n <= 6: 1 + 1 + 2 + 6 + 21 + 112 classes; n = 7-30: three graphs each
+    assert checked == 143 + 3 * 24
+    assert 0 < block_graphs < checked
+
+
+@pytest.mark.parametrize(
+    "text,n,classes",
+    [
+        ("", 0, {"connected": False, "block_graph": False, "tree": False, "complete": True,
+                 "split": True, "threshold": False, "bipartite": True}),
+        ("p 1 0\n", 1, {"connected": True, "block_graph": True, "tree": True, "complete": True,
+                        "split": True, "threshold": True, "bipartite": True}),
+        ("0 1\n2 3\n", 4, {"connected": False, "block_graph": False, "tree": False,
+                           "complete": False, "split": False, "threshold": False,
+                           "bipartite": True}),
+    ],
+)
+def test_recognize_classes_at_the_edges(tmp_path, capsys, text, n, classes):
+    path = tmp_path / "g.el"
+    path.write_text(text)
+    assert main(["--format", "json", "recognize", "--in", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["graph"]["n"] == n
+    assert payload["classes"] == classes
 
 
 def test_is_block_graph():
@@ -240,6 +331,8 @@ def test_validate_partition():
     assert validate_partition(g, SplitPartition(frozenset({1}), frozenset({0, 2})))
     assert not validate_partition(g, SplitPartition(frozenset({0, 2}), frozenset({1})))
     assert not validate_partition(g, SplitPartition(frozenset({1}), frozenset({0})))
+    # a valid clique side does not excuse an edge inside the independent side
+    assert not validate_partition(g, SplitPartition(frozenset({0}), frozenset({1, 2})))
 
 
 def test_gamma_auto_matches_oracle_on_all_small_connected_graphs():

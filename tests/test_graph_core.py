@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import warnings
 from itertools import combinations
 
 import pytest
@@ -61,6 +63,91 @@ def test_parse_header_edge_count_mismatch_warns():
 def test_parse_skips_comments_and_blank_lines():
     g = from_edge_list("# a comment\n\n0 1\n# another\n1 2\n")
     assert (g.n, g.m) == (3, 2)
+
+
+# One input per malformed-line class, with the exact ParseError text.
+MALFORMED = [
+    ("0 1\nx y\n", "line 2: non-numeric vertex id in 'x y'"),
+    ("1 #2\n", "line 1: non-numeric vertex id in '1 #2'"),
+    ("p 5\n", "line 1: header must be 'p <n> <m>'"),
+    ("p 3 1\n0 1\np 3 1\n", "line 3: duplicate header"),
+    ("p a 1\n", "line 1: non-numeric header field"),
+    ("p -1 0\n", "line 1: header out of range"),
+    ("0 1\n0 -1\n", "line 2: negative vertex id"),
+    (f"0 {10**7}\n", "line 1: vertex id too large"),
+    ("0 1\n  1 1  \n", "line 2: self-loop at vertex 1"),
+    ("1 2 3\n", "line 1: expected 'u v', got '1 2 3'"),
+    ("\t7\r\n", "line 1: expected 'u v', got '7'"),
+    ("p 2 1\n0 2\n", "header declares 2 vertices but id 2 appears"),
+    # the first bad line wins, whatever its class
+    ("-1 0\n0 0\n", "line 1: negative vertex id"),
+    ("0 0\n-1 0\n", "line 1: self-loop at vertex 0"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED)
+def test_parse_error_text_per_malformed_line_class(text, message):
+    with pytest.raises(ParseError) as info:
+        from_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_hash_first_token_is_a_comment_line():
+    g = from_edge_list("#1 2\n  # x y z\n0 1\n")
+    assert (g.n, g.m) == (2, 1)
+
+
+def _parse_recording_warnings(text: str):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = from_edge_list(text)
+    return graph, [str(w.message) for w in caught]
+
+
+def test_parse_warnings_pinned():
+    g, messages = _parse_recording_warnings("0 1\n1 0\n0 1\n1 2\n")
+    assert (g.n, g.m, g.adj) == (3, 2, ((1,), (0, 2), (1,)))
+    assert messages == ["2 duplicate edge(s) collapsed"]
+    g, messages = _parse_recording_warnings("p 4 3\n2 1\n1 2\n")
+    assert (g.n, g.m) == (4, 1)
+    assert messages == [
+        "1 duplicate edge(s) collapsed",
+        "header declares 3 edges but 1 unique edges parsed",
+    ]
+    _, messages = _parse_recording_warnings("p 3 2\n0 1\n1 2\n")
+    assert messages == []
+    # the header counts distinct edges, so a repeated line alone is no mismatch
+    _, messages = _parse_recording_warnings("p 3 1\n0 1\n1 0\n")
+    assert messages == ["1 duplicate edge(s) collapsed"]
+
+
+def test_crlf_and_tab_input_parse_like_plain_input():
+    plain = from_edge_list("p 5 3\n0 1\n1 2\n3 4\n")
+    assert from_edge_list("p 5 3\r\n0 1\r\n1 2\r\n3 4\r\n") == plain
+    assert from_edge_list("p\t5\t3\n0\t1\n\t1 \t2\t\n3\t4") == plain
+    assert from_edge_list("# c\r\n\r\np 5 3\r\n0\t1\r\n1 2\n3 4\r\n") == plain
+
+
+def _reference_adjacency(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    directed = edges + [(v, u) for u, v in edges]
+    return tuple(tuple(sorted(set(v for a, v in directed if a == u))) for u in range(n))
+
+
+def test_from_edges_matches_literal_reference():
+    rng = random.Random(20240605)
+    for trial in range(60):
+        n = rng.randint(1, 40)
+        if n == 1:
+            edges = []
+        else:
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+            # repeat some edges, half of them reversed
+            edges += [rng.choice([e, e[::-1]]) for e in rng.sample(edges, len(edges) // 3)]
+            rng.shuffle(edges)
+        g = Graph.from_edges(n, edges)
+        assert g.adj == _reference_adjacency(n, edges), trial
+        assert g.m == len({frozenset(e) for e in edges}), trial
+        assert from_edge_list(to_edge_list(g)) == g
 
 
 def test_neighbors():
