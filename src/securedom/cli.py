@@ -15,23 +15,8 @@ import json
 import sys
 import time
 
-from .crosscheck import DEFAULT_SEED, GRID_RUNNERS
-from .exact import DEFAULT_MAX_N
-from .families import FAMILY_KINDS, FamilySpec, formula_value, formula_witness, generate
-from .fast import (
-    METHODS,
-    SplitRejection,
-    ThresholdRejection,
-    bench_block_graph,
-    bench_threshold_graph,
-    block_decompose,
-    gamma,
-    gamma_sc_block,
-    gamma_sc_threshold,
-    is_bipartite,
-    recognize_split,
-    recognize_threshold,
-)
+# Each command imports the modules it runs when it runs, so a start pays
+# only for those; names.py holds the parser's vocabulary and imports nothing.
 from .graph import (
     DomainError,
     Graph,
@@ -42,8 +27,15 @@ from .graph import (
     require_vertex_count,
     to_edge_list,
 )
-from .reductions import REDUCTION_KINDS, build, check_equivalence
-from .verify import VARIANTS, check_variant, failure_reason
+from .names import (
+    DEFAULT_MAX_N,
+    DEFAULT_SEED,
+    FAMILY_KINDS,
+    GRID_NAMES,
+    METHODS,
+    REDUCTION_KIND_NAMES,
+    VARIANTS,
+)
 
 
 def _read_graph(path: str) -> Graph:
@@ -59,6 +51,8 @@ def _read_graph(path: str) -> Graph:
 def _load_graph(args: argparse.Namespace) -> Graph:
     family = getattr(args, "family", None)
     if family is not None:
+        from .families import FamilySpec, generate
+
         return generate(FamilySpec(family, args.n))
     path = getattr(args, "input", None)
     if path is None:
@@ -71,6 +65,9 @@ def _graph_field(graph: Graph) -> dict:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .fast import gamma
+    from .verify import check_variant
+
     graph = _load_graph(args)
     report = gamma(graph, args.variant, args.method, max_n=args.max_n)
     if not check_variant(graph, args.variant, report.witness):
@@ -93,6 +90,8 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .verify import check_variant, failure_reason
+
     graph = _load_graph(args)
     start = time.perf_counter()
     members = parse_vertex_set(args.set, graph)
@@ -115,6 +114,15 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .fast import (
+        SplitRejection,
+        ThresholdRejection,
+        block_decompose,
+        is_bipartite,
+        recognize_split,
+        recognize_threshold,
+    )
+
     graph = _load_graph(args)
     start = time.perf_counter()
     # block_decompose refuses exactly the graphs that are empty or
@@ -155,6 +163,9 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .families import FamilySpec, formula_value, formula_witness, generate
+    from .verify import check_variant
+
     start = time.perf_counter()
     spec = FamilySpec(args.kind, args.n)
     graph = generate(spec)
@@ -181,6 +192,8 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .reductions import build
+
     graph = _load_graph(args)
     start = time.perf_counter()
     artifact = build(args.kind, graph, args.param)
@@ -200,6 +213,8 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .reductions import check_equivalence
+
     graph = _load_graph(args)
     start = time.perf_counter()
     report = check_equivalence(args.kind, graph, max_output_n=args.max_output_n)
@@ -239,6 +254,8 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .crosscheck import GRID_RUNNERS
+
     start = time.perf_counter()
     if args.count < 0:
         raise DomainError(f"--count must be nonnegative, got {args.count}")
@@ -280,6 +297,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    from .fast import bench_block_graph, bench_threshold_graph, gamma_sc_block, gamma_sc_threshold
+
     solver = gamma_sc_block if args.method == "block" else gamma_sc_threshold
     builder = bench_block_graph if args.method == "block" else bench_threshold_graph
     if args.doubling:
@@ -356,18 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="build a hardness-reduction instance")
     _add_input_flags(p)
-    p.add_argument("--kind", choices=sorted(REDUCTION_KINDS), required=True)
+    p.add_argument("--kind", choices=REDUCTION_KIND_NAMES, required=True)
     p.add_argument("--param", type=int, required=True)
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("check-equivalence", help="sweep a reduction's threshold equivalence")
     _add_input_flags(p)
-    p.add_argument("--kind", choices=sorted(REDUCTION_KINDS), required=True)
+    p.add_argument("--kind", choices=REDUCTION_KIND_NAMES, required=True)
     p.add_argument("--max-output-n", dest="max_output_n", type=int, default=20)
     p.set_defaults(handler=_cmd_check_equivalence)
 
     p = sub.add_parser("crosscheck", help="run validation grids against the exact oracle")
-    p.add_argument("--grid", choices=(*GRID_RUNNERS, "all"), default="all")
+    p.add_argument("--grid", choices=(*GRID_NAMES, "all"), default="all")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -16,10 +16,9 @@ from .exact import enumerate_connected_graphs, random_block_graph, random_graph,
 from .families import FamilySpec, formula_value, formula_witness, generate
 from .fast import gamma_sc_block, gamma_sc_threshold, random_split_graph
 from .graph import DomainError, Graph
+from .names import DEFAULT_SEED
 from .reductions import check_equivalence
 from .verify import is_dominating, is_scds_definition
-
-DEFAULT_SEED = 1729
 
 FAMILY_GRID = (
     [FamilySpec("subdivided_wheel", n) for n in (3, 4, 5)]

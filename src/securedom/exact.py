@@ -30,24 +30,21 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import DomainError, Graph
-from .verify import CHECKERS, VARIANTS
+from .names import DEFAULT_MAX_N, VARIANTS
+from .verify import CHECKERS
 
 METHOD_EXACT = "exact_search"
 METHOD_BLOCK = "block_formula"
 METHOD_THRESHOLD = "threshold_formula"
 METHOD_TRIVIAL = "trivial_complete"
 
-DEFAULT_MAX_N = 20
 
-
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Result of a minimum-domination computation.
 
     nodes_explored counts the full-size candidates the reported search

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DomainError, Graph, require_edge_count, require_vertex_count
-
-FAMILY_KINDS = ("complete", "subdivided_wheel", "book", "ladder", "star")
+from .names import FAMILY_KINDS
 
 _MIN_PARAM = {
     "complete": 1,

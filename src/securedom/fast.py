@@ -16,15 +16,15 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .exact import DEFAULT_MAX_N, METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, solve, trivial_complete
+from .exact import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, solve, trivial_complete
 from .graph import DomainError, Graph, require_vertex_count
+from .names import DEFAULT_MAX_N, METHODS
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected pieces / bridges) and cut vertices.
 
     blocks are vertex sets ordered by smallest contained vertex; r is the
@@ -47,26 +47,24 @@ class BlockDecomposition:
 
     @property
     def r_prime(self) -> int:
-        return sum(1 for b in self.blocks if b <= self.cut_vertices)
+        cut = self.cut_vertices
+        return sum(1 for b in self.blocks if b <= cut)
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(NamedTuple):
     """A clique / independent-set bipartition of the vertex set."""
 
     clique: frozenset[int]
     independent: frozenset[int]
 
 
-@dataclass(frozen=True)
-class SplitRejection:
+class SplitRejection(NamedTuple):
     reason: str
     obstruction: tuple[int, ...] | None = None
     obstruction_kind: str | None = None
 
 
-@dataclass(frozen=True)
-class ThresholdOrdering:
+class ThresholdOrdering(NamedTuple):
     """Split partition plus the nested-neighborhood orders.
 
     Closed neighborhoods grow along clique_order; open neighborhoods shrink
@@ -78,8 +76,7 @@ class ThresholdOrdering:
     independent_order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ThresholdRejection:
+class ThresholdRejection(NamedTuple):
     reason: str
     remaining: int = 0
 
@@ -451,8 +448,6 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
 
 # -- dispatch ----------------------------------------------------------------
 
-METHODS = ("auto", "exact", "block", "threshold")
-
 
 def gamma(
     graph: Graph, variant: str, method: str = "auto", *, max_n: int | None = DEFAULT_MAX_N
@@ -489,6 +484,7 @@ def gamma(
 
 
 def is_bipartite(graph: Graph) -> bool:
+    adj = graph.adj
     color = [-1] * graph.n
     for start in range(graph.n):
         if color[start] != -1:
@@ -497,7 +493,7 @@ def is_bipartite(graph: Graph) -> bool:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in graph.adj[u]:
+            for w in adj[u]:
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from io import StringIO
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 # Ids at or above this bound are treated as corrupt input rather than a
 # request for an absurdly large adjacency table.
@@ -49,8 +48,7 @@ def require_edge_count(count: int, what: str) -> None:
         raise DomainError(f"{what} would have {count} edges; the cap is {MAX_EDGES}")
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
+class ComponentLabeling(NamedTuple):
     """Connected-component labels for a graph or an induced subgraph.
 
     Labels are assigned in order of first discovery by ascending vertex id,
@@ -62,8 +60,7 @@ class ComponentLabeling:
     count: int
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph; vertices are 0..n-1, adjacency lists sorted."""
 
     n: int
@@ -113,10 +110,11 @@ class Graph:
     def closed_neighborhood(self, vertices: Iterable[int]) -> frozenset[int]:
         """The given set together with every neighbor of one of its members."""
         out: set[int] = set()
+        adj = self.adj
         for v in vertices:
             self._check_vertex(v)
             out.add(v)
-            out.update(self.adj[v])
+            out.update(adj[v])
         return frozenset(out)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -128,7 +126,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        return [(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v]
 
     def is_complete(self) -> bool:
         return 2 * self.m == self.n * (self.n - 1)
@@ -144,6 +142,7 @@ class Graph:
                 self._check_vertex(v)
             scope = sorted(scope_set)
             member = scope_set
+        adj = self.adj
         labels: dict[int, int] = {}
         count = 0
         for start in scope:
@@ -153,7 +152,7 @@ class Graph:
             queue = deque([start])
             while queue:
                 u = queue.popleft()
-                for w in self.adj[u]:
+                for w in adj[u]:
                     if member is not None and w not in member:
                         continue
                     if w not in labels:
@@ -169,11 +168,11 @@ class Graph:
 
     def leaves(self) -> frozenset[int]:
         """Vertices of degree 1 (pendant vertices)."""
-        return frozenset(v for v in range(self.n) if len(self.adj[v]) == 1)
+        return frozenset(v for v, nbrs in enumerate(self.adj) if len(nbrs) == 1)
 
     def supports(self) -> frozenset[int]:
         """Vertices adjacent to at least one leaf."""
-        return frozenset(self.adj[v][0] for v in range(self.n) if len(self.adj[v]) == 1)
+        return frozenset(nbrs[0] for nbrs in self.adj if len(nbrs) == 1)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -27,16 +27,13 @@ yield False rather than an error.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import DomainError, Graph
+from .names import VARIANTS
 
-VARIANTS = ("ds", "cds", "tds", "sds", "scds", "stds")
 
-
-@dataclass(frozen=True)
-class DefenderMap:
+class DefenderMap(NamedTuple):
     """For each outside vertex, the set of members whose swap keeps the property.
 
     The certificate is valid exactly when every outside vertex has a nonempty
@@ -54,11 +51,12 @@ def is_dominating(graph: Graph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhood of the set covers every vertex."""
     s = set(members)
     covered = set(s)
+    n, adj = graph.n, graph.adj
     for v in s:
-        covered.update(graph.adj[v])
-        if len(covered) == graph.n:
+        covered.update(adj[v])
+        if len(covered) == n:
             return True
-    return len(covered) == graph.n
+    return len(covered) == n
 
 
 def is_connected_dominating(graph: Graph, members: Iterable[int]) -> bool:
@@ -85,10 +83,10 @@ def epn(graph: Graph, v: int, members: Iterable[int]) -> frozenset[int]:
     if v not in s:
         raise DomainError(f"vertex {v} is not in the set")
     out = set()
-    for w in range(graph.n):
+    for w, nbrs in enumerate(graph.adj):
         if w in s:
             continue
-        hits = [x for x in graph.adj[w] if x in s]
+        hits = [x for x in nbrs if x in s]
         if hits == [v]:
             out.add(w)
     return frozenset(out)
@@ -109,11 +107,11 @@ def _swap_check(
     """
     defenders: dict[int, frozenset[int]] = {}
     ok = True
-    for u in range(graph.n):
+    for u, nbrs in enumerate(graph.adj):
         if u in s:
             continue
         valid: set[int] = set()
-        for v in graph.adj[u]:
+        for v in nbrs:
             if v not in s:
                 continue
             swapped = set(s)
@@ -399,7 +397,7 @@ def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | 
             return "induced subgraph is disconnected"
     if variant in ("tds", "stds") and not is_total_dominating(graph, s):
         missed = min(
-            v for v in range(graph.n) if not any(w in s for w in graph.adj[v])
+            v for v, nbrs in enumerate(graph.adj) if not any(w in s for w in nbrs)
         )
         return f"vertex {missed} has no neighbor in the set"
     if variant not in ("sds", "scds", "stds"):

@@ -314,7 +314,7 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
 
 
 def test_failed_reverification_is_an_internal_error(graph_file, capsys, monkeypatch):
-    monkeypatch.setattr("securedom.cli.check_variant", lambda graph, variant, members: False)
+    monkeypatch.setattr("securedom.verify.check_variant", lambda graph, variant, members: False)
     code, out, err = run(capsys, "gamma", "--variant", "scds", "--in", graph_file(BOWTIE))
     assert code == 4
     assert out == ""
@@ -329,7 +329,7 @@ def test_solver_invariant_failure_is_an_internal_error(graph_file, capsys, monke
     def broken(*args, **kwargs):
         raise RuntimeError("block witness size disagrees with the formula")
 
-    monkeypatch.setattr("securedom.cli.gamma", broken)
+    monkeypatch.setattr("securedom.fast.gamma", broken)
     code, _, err = run(capsys, "gamma", "--in", graph_file(BOWTIE))
     assert code == 4
     assert err == "internal error: block witness size disagrees with the formula\n"

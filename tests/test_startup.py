@@ -1,0 +1,173 @@
+"""What a start of the program loads, and the package surface that keeps it
+small: lazy package exports, the parser's leaf vocabulary module, and the
+NamedTuple records on the solve path."""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import json
+
+import pytest
+
+import securedom
+from conftest import path_graph, run_python
+from securedom import crosscheck, exact, families, fast, graph, names, reductions, verify
+from securedom.cli import build_parser
+
+P4 = "0 1\n1 2\n2 3\n"
+
+# A fresh interpreter runs ``python -m securedom ARGV`` and reports, as the
+# last stderr line, the modules the run added to sys.modules.
+START_PROBE = """
+import json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["securedom", *{argv!r}]
+try:
+    runpy.run_module("securedom", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({{"code": code, "added": sorted(set(sys.modules) - before)}}), file=sys.stderr)
+"""
+
+SOLVERS = {"securedom.fast", "securedom.exact"}
+BUILDERS = {"securedom.families", "securedom.reductions", "securedom.crosscheck"}
+
+
+def _start(argv: list[str]) -> tuple[int, set[str]]:
+    result = run_python(START_PROBE.format(argv=argv))
+    report = json.loads(result.stderr.splitlines()[-1])
+    return report["code"], set(report["added"])
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    path = tmp_path / "p4.el"
+    path.write_text(P4)
+    runs = {
+        "help": ["--help"],
+        "recognize": ["recognize", "--in", str(path)],
+        "gamma": ["gamma", "--in", str(path)],
+        "verify": ["verify", "--in", str(path), "--set", "1,2"],
+    }
+    added = {}
+    for name, argv in runs.items():
+        code, added[name] = _start(argv)
+        assert code == 0, name
+        assert "dataclasses" not in added[name], name
+    package = {m for m in added["help"] if m.startswith("securedom")}
+    assert package == {"securedom", "securedom.cli", "securedom.graph", "securedom.names"}
+    assert not added["verify"] & (SOLVERS | BUILDERS)
+    assert "securedom.verify" in added["verify"]
+    for name in ("gamma", "recognize"):
+        assert not added[name] & BUILDERS, name
+        assert "securedom.fast" in added[name], name
+
+
+def test_bare_package_import_loads_no_submodule():
+    result = run_python(
+        "import sys\n"
+        "import securedom\n"
+        "print(sorted(m for m in sys.modules if m.startswith('securedom.')))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_lazy_exports_resolve_to_their_home_objects():
+    assert securedom.__all__ == sorted(securedom.__all__)
+    assert len(securedom.__all__) == 51
+    homes = {name: module for module, exported in securedom._EXPORTS.items() for name in exported}
+    assert sorted(homes) == securedom.__all__
+    for name in securedom.__all__:
+        home = getattr(securedom, homes[name])
+        obj = getattr(securedom, name)
+        assert obj is getattr(home, name), name
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == home.__name__, name
+    namespace: dict = {}
+    exec("from securedom import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == securedom.__all__
+    assert all(namespace[name] is getattr(securedom, name) for name in namespace)
+    assert set(securedom.__all__) <= set(dir(securedom))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        securedom.no_such_name  # noqa: B018
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, dict[str, argparse.Action]]:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest: a for a in p._actions} for name, p in sub.choices.items()}
+
+
+def test_parser_vocabulary_is_the_library_tables():
+    commands = _subcommands(build_parser())
+    for name in ("gamma", "verify"):
+        assert commands[name]["variant"].choices is verify.VARIANTS
+    for name in ("gamma", "verify", "recognize", "reduce", "check-equivalence"):
+        assert commands[name]["family"].choices is families.FAMILY_KINDS
+    assert commands["family"]["kind"].choices is families.FAMILY_KINDS
+    assert commands["gamma"]["method"].choices is fast.METHODS
+    assert commands["gamma"]["max_n"].default == exact.DEFAULT_MAX_N
+    for name in ("reduce", "check-equivalence"):
+        assert list(commands[name]["kind"].choices) == sorted(reductions.REDUCTION_KINDS)
+    assert commands["crosscheck"]["grid"].choices == (*crosscheck.GRID_RUNNERS, "all")
+    assert commands["crosscheck"]["seed"].default == crosscheck.DEFAULT_SEED
+
+    # The library binds its names to the leaf module's objects.
+    assert verify.VARIANTS is names.VARIANTS and exact.VARIANTS is names.VARIANTS
+    assert fast.METHODS is names.METHODS
+    assert families.FAMILY_KINDS is names.FAMILY_KINDS
+    assert exact.DEFAULT_MAX_N is names.DEFAULT_MAX_N
+    assert crosscheck.DEFAULT_SEED is names.DEFAULT_SEED
+    assert names.REDUCTION_KIND_NAMES == tuple(sorted(reductions.REDUCTION_KINDS))
+    assert names.GRID_NAMES == tuple(crosscheck.GRID_RUNNERS)
+    for fn in (exact.solve, fast.gamma):
+        assert inspect.signature(fn).parameters["max_n"].default is names.DEFAULT_MAX_N
+    for runner in (crosscheck.trees_grid, crosscheck.reductions_grid):
+        assert inspect.signature(runner).parameters["seed"].default is names.DEFAULT_SEED
+
+
+def _records() -> dict[type, object]:
+    g = path_graph(4)
+    threshold = graph.Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    return {
+        graph.Graph: g,
+        graph.ComponentLabeling: g.components(),
+        verify.DefenderMap: verify.DefenderMap({0: frozenset()}),
+        exact.SolveReport: exact.solve(g, "scds"),
+        fast.BlockDecomposition: fast.block_decompose(g),
+        fast.SplitPartition: fast.recognize_split(g),
+        fast.SplitRejection: fast.recognize_split(graph.Graph.from_edges(4, [(0, 1), (2, 3)])),
+        fast.ThresholdOrdering: fast.recognize_threshold(threshold),
+        fast.ThresholdRejection: fast.recognize_threshold(g),
+    }
+
+
+def test_solve_path_records_keep_their_repr_hash_and_immutability():
+    records = _records()
+    for cls, record in records.items():
+        assert type(record) is cls
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    g = graph.Graph.from_edges(3, [(1, 2), (0, 1)])
+    assert repr(g) == "Graph(n=3, adj=((1,), (0, 2), (1,)), m=2)"
+    assert hash(g) == hash((3, ((1,), (0, 2), (1,)), 2))
+    report = exact.SolveReport("scds", 1, frozenset({0}), "trivial_complete", 0.5, 0)
+    assert repr(report) == (
+        "SolveReport(variant='scds', value=1, witness=frozenset({0}), "
+        "method='trivial_complete', elapsed=0.5, nodes_explored=0)"
+    )
+
+    rejection = fast.SplitRejection("no split partition")
+    assert (rejection.obstruction, rejection.obstruction_kind) == (None, None)
+    assert fast.ThresholdRejection("no isolated or universal vertex remains").remaining == 0
+    blocks = records[fast.BlockDecomposition]
+    assert (blocks.r, blocks.k, blocks.r_prime) == (3, 2, 1)
+    assert verify.DefenderMap({0: frozenset({1}), 2: frozenset()}).undefended() == [2]
+
+    # The documented change: a record is a tuple of its fields.
+    n, adj, m = g
+    assert g == (n, adj, m)
