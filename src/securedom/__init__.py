@@ -10,7 +10,6 @@ it needs) the first time it is read.
 # Each home module and the public names it exports.
 _EXPORTS = {
     "exact": (
-        "SolveReport",
         "canonical_form",
         "enumerate_connected_graphs",
         "random_block_graph",
@@ -37,6 +36,7 @@ _EXPORTS = {
         "recognize_threshold",
     ),
     "graph": ("ComponentLabeling", "DomainError", "Graph", "ParseError", "from_edge_list", "to_edge_list"),
+    "report": ("SolveReport",),
     "reductions": (
         "REDUCTION_KINDS",
         "EquivalenceReport",

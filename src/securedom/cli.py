@@ -6,14 +6,22 @@ disconnected input, bad flags), 3 crosscheck mismatches, 4 internal errors
 invariant, reported as "internal error: ..." on stderr).  JSON output is
 sorted-key and deterministic for a fixed config and seed, apart from the
 elapsed_ms field.
+
+A command runs with the cyclic garbage collector paused (its data is
+acyclic, so reference counting frees it) and prints library warnings as
+"warning: <message>" on stderr; ``main`` restores the caller's collector
+state and warning display when the command ends.  Warning filters such as
+``-W error`` and ``-W ignore`` apply as usual.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+import warnings
 
 # Each command imports the modules it runs when it runs, so a start pays
 # only for those; names.py holds the parser's vocabulary and imports nothing.
@@ -117,31 +125,35 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .fast import (
         SplitRejection,
         ThresholdRejection,
-        block_decompose,
         is_bipartite,
+        is_block_graph,
         recognize_split,
         recognize_threshold,
     )
 
     graph = _load_graph(args)
     start = time.perf_counter()
-    # block_decompose refuses exactly the graphs that are empty or
+    # The lowpoint walk refuses exactly the graphs that are empty or
     # disconnected, so its outcome doubles as the connectivity test.
     try:
-        block_graph = block_decompose(graph).cliques
+        block_graph = is_block_graph(graph)
         connected = True
     except DomainError:
         block_graph = connected = False
-    split = recognize_split(graph)
-    threshold = recognize_threshold(graph)
+    tree = connected and graph.m == graph.n - 1
+    threshold = not isinstance(recognize_threshold(graph), ThresholdRejection)
+    # A certified threshold ordering is a split partition (Chvatal-Hammer),
+    # and a block graph with a block of three or more vertices holds a
+    # triangle, so it is bipartite iff it is a tree.
+    split = None if threshold else recognize_split(graph)
     classes = {
         "connected": connected,
         "complete": graph.is_complete(),
-        "tree": connected and graph.m == graph.n - 1,
+        "tree": tree,
         "block_graph": block_graph,
         "split": not isinstance(split, SplitRejection),
-        "threshold": not isinstance(threshold, ThresholdRejection),
-        "bipartite": is_bipartite(graph),
+        "threshold": threshold,
+        "bipartite": tree if block_graph else is_bipartite(graph),
     }
     payload = {
         "command": "recognize",
@@ -401,9 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Graphs, reports and records hold no reference cycles, so reference
+    # counting frees them; a cyclic-collector pass during a command would
+    # only re-walk live data.  Both settings are the caller's again on exit.
+    collecting = gc.isenabled()
+    show = warnings.showwarning
+    warnings.showwarning = _show_warning
+    gc.disable()
     try:
         payload, text, code = args.handler(args)
     except ParseError as exc:
@@ -418,6 +441,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
+        warnings.showwarning = show
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

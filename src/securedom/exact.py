@@ -15,8 +15,8 @@ for scds and stds sets of two or more, covers every outside vertex twice (see
 reject).  Every returned witness has passed ``verify.CHECKERS``.  Pruning
 can be disabled for soundness cross-checks: the search then feeds every
 subset straight to the checker.  The complete-graph report is built by
-``trivial_complete``, which the linear-time solvers and the ``auto``
-dispatch in ``fast`` share.
+``report.trivial_complete``, which the linear-time solvers and the
+``auto`` dispatch in ``fast`` share.
 
 Also houses the small-graph isomorphism-class enumerator (a brute-force
 relabeling table over Python ints) and the seeded random generators used as
@@ -32,50 +32,12 @@ import random
 import time
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .graph import DomainError, Graph
 from .names import DEFAULT_MAX_N, VARIANTS
+from .report import METHOD_EXACT, SolveReport, trivial_complete
 from .verify import CHECKERS
-
-METHOD_EXACT = "exact_search"
-METHOD_BLOCK = "block_formula"
-METHOD_THRESHOLD = "threshold_formula"
-METHOD_TRIVIAL = "trivial_complete"
-
-
-class SolveReport(NamedTuple):
-    """Result of a minimum-domination computation.
-
-    nodes_explored counts the full-size candidates the reported search
-    reached: with pruning, those the bitset walk arrives at after its branch
-    cut, whether or not they pass the cover filters; without, every subset
-    passed to the checker.  Bound-estimation sub-solves are not included.
-    The count is deterministic.  elapsed is wall time in seconds.
-    """
-
-    variant: str
-    value: int
-    witness: frozenset[int]
-    method: str
-    elapsed: float
-    nodes_explored: int
-
-
-def trivial_complete(start: float) -> SolveReport:
-    """The secure connected answer on a complete graph: any single vertex.
-
-    ``start`` is the caller's perf_counter reading, so elapsed covers the
-    caller's own checks.
-    """
-    return SolveReport(
-        variant="scds",
-        value=1,
-        witness=frozenset({0}),
-        method=METHOD_TRIVIAL,
-        elapsed=time.perf_counter() - start,
-        nodes_explored=0,
-    )
 
 
 def solve(

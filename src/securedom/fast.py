@@ -19,9 +19,9 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
-from .exact import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, solve, trivial_complete
 from .graph import DomainError, Graph, require_vertex_count
 from .names import DEFAULT_MAX_N, METHODS
+from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, trivial_complete
 
 
 class BlockDecomposition(NamedTuple):
@@ -81,84 +81,93 @@ class ThresholdRejection(NamedTuple):
     remaining: int = 0
 
 
-def block_decompose(graph: Graph) -> BlockDecomposition:
-    """Blocks and cut vertices via an iterative lowpoint DFS.
+def _lowpoint_walk(
+    graph: Graph, blocks: list[frozenset[int]] | None = None, heads: list[int] | None = None
+) -> bool:
+    """One iterative lowpoint DFS (Hopcroft-Tarjan) over a connected graph;
+    returns whether every block is a clique.
 
-    Deterministic: neighbors are explored in ascending order and blocks are
-    sorted by their smallest vertex.  Requires a connected graph.  Each path
-    vertex keeps an iterator over its adjacency tuple, and the edge stack is
-    a flat list of endpoint pairs that receives every edge exactly once (a
-    tree edge from its parent side, a back edge from its lower end).  A block
-    is therefore the stack slice above its tree edge, and with k vertices it
-    is a clique iff that slice holds k(k-1)/2 edges, which sets ``cliques``
-    without a second scan.
+    Neighbors are explored in ascending order from vertex 0, and every
+    discovered vertex is pushed on a vertex stack.  A block closes at a tree
+    edge (p, v) with low[v] >= disc[p]: it holds p plus the stack above v.
+    Blocks partition the edges and a block on k vertices holds at most
+    k(k-1)/2 of them, so every block is a clique iff those bounds sum to m.
+    Given the two lists, each block's vertex set is appended to ``blocks``
+    and its p to ``heads``.
     """
     n = graph.n
     if n == 0:
         raise DomainError("block decomposition requires a connected graph")
-    if n == 1:
-        return BlockDecomposition(blocks=(frozenset({0}),), cut_vertices=frozenset(), cliques=True)
     adj = graph.adj
     disc = [0] * n
     low = [0] * n
-    parent = [-1] * n
-    cut: set[int] = set()
-    estack: list[int] = []
-    blocks: list[frozenset[int]] = []
-    cliques = True
     disc[0] = low[0] = 1
     timer = 2
-    # The DFS path, each vertex's neighbor iterator, and the edge-stack
-    # length just before the vertex's tree edge was pushed.
+    pairs = 0
+    found: list[int] = []
+    # The DFS path, each vertex's neighbor iterator, and each path vertex's
+    # place on the vertex stack.  The edge back to the parent may lower
+    # low[v] to disc[p] but never below it, so the test above is unchanged.
     path = [0]
     iters = [iter(adj[0])]
     marks = [0]
     while path:
         v = path[-1]
-        dv = disc[v]
-        pv = parent[v]
+        lv = low[v]
         for w in iters[-1]:
             dw = disc[w]
             if dw == 0:
-                parent[w] = v
-                marks.append(len(estack))
-                estack.append(v)
-                estack.append(w)
+                low[v] = lv
+                marks.append(len(found))
+                found.append(w)
                 disc[w] = low[w] = timer
                 timer += 1
                 path.append(w)
                 iters.append(iter(adj[w]))
                 break
-            if dw < dv and w != pv:
-                estack.append(v)
-                estack.append(w)
-                if dw < low[v]:
-                    low[v] = dw
+            if dw < lv:
+                lv = dw
         else:
             path.pop()
             iters.pop()
             mark = marks.pop()
             if not path:
                 break
-            lv = low[v]
+            pv = path[-1]
             if lv < low[pv]:
                 low[pv] = lv
             if lv >= disc[pv]:
-                ends = estack[mark:]
-                del estack[mark:]
-                members = frozenset(ends)
-                k = len(members)
-                if len(ends) != k * (k - 1):
-                    cliques = False
-                blocks.append(members)
-                if pv != 0:
-                    cut.add(pv)
+                k = len(found) - mark + 1
+                pairs += k * (k - 1) // 2
+                if blocks is not None:
+                    found.append(pv)
+                    blocks.append(frozenset(found[mark:]))
+                    heads.append(pv)
+                del found[mark:]
     if timer - 1 != n:
         raise DomainError("block decomposition requires a connected graph")
-    if estack:
+    if found:
         raise RuntimeError("block decomposition left an unclosed block")
-    if parent.count(0) > 1:
-        cut.add(0)  # the root cuts iff it has two DFS children
+    return pairs == graph.m
+
+
+def block_decompose(graph: Graph) -> BlockDecomposition:
+    """Blocks and cut vertices from the lowpoint walk.
+
+    Deterministic: blocks are sorted by their smallest vertex.  Requires a
+    connected graph.  The vertex p a block closes at is a cut vertex, unless
+    it is the DFS root 0 and closes only one block.
+    """
+    if graph.n == 1:
+        return BlockDecomposition(blocks=(frozenset({0}),), cut_vertices=frozenset(), cliques=True)
+    blocks: list[frozenset[int]] = []
+    heads: list[int] = []
+    cliques = _lowpoint_walk(graph, blocks, heads)
+    cut = set(heads)
+    if heads.count(0) == 1:
+        cut.discard(0)
+    n = graph.n
+
     # Two blocks share at most one vertex, so the two smallest vertices of a
     # block already fix its place in the order of sorted vertex lists, and
     # an integer key sorts far faster than a list key.
@@ -171,8 +180,10 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
 
 
 def is_block_graph(graph: Graph) -> bool:
-    """True iff the (connected) graph's blocks all induce cliques."""
-    return block_decompose(graph).cliques
+    """True iff the (connected) graph's blocks all induce cliques.
+
+    Runs the lowpoint walk alone, without collecting the blocks."""
+    return _lowpoint_walk(graph)
 
 
 def gamma_sc_block(graph: Graph) -> SolveReport:
@@ -322,9 +333,9 @@ def random_split_graph(n: int, seed: int) -> tuple[Graph, SplitPartition]:
 def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
     """Degree peel; returns nested-neighborhood orders or a rejection.
 
-    The orders are re-validated directly (clique, independent set, and both
-    nesting chains via consecutive subset checks), so acceptance certifies
-    the characterization and never rests on the peel alone.
+    The orders are re-validated directly by a rank certificate (see
+    ``_threshold_ordering_valid``), so acceptance certifies the
+    characterization and never rests on the peel alone.
     """
     n = graph.n
     if n == 0:
@@ -367,25 +378,35 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
 
 
 def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
+    """Certify the orders in O(n + m) with one rank array over clique_order.
+
+    The orders fix the whole graph: the clique side is a clique, and each
+    independent vertex of degree d sees exactly the d highest ranks, so it
+    sees no independent vertex.  Those neighbourhoods are then suffixes of
+    clique_order, which makes the closed neighbourhoods grow along it, and
+    with degrees that do not increase along independent_order the open
+    neighbourhoods shrink along that order (Chvatal-Hammer nesting).
+    """
     adj = graph.adj
-    c = ordering.partition.clique
-    i = ordering.partition.independent
-    for x in c:
-        if sum(1 for w in adj[x] if w in c) != len(c) - 1:
-            return False
-    for y in i:
-        if any(w in i for w in adj[y]):
-            return False
     xs = ordering.clique_order
-    for a, b in zip(xs, xs[1:]):
-        closed_a = set(adj[a]) | {a}
-        closed_b = set(adj[b]) | {b}
-        if not closed_a <= closed_b:
+    top = len(xs)
+    rank = [-1] * graph.n
+    in_clique = bytearray(graph.n)
+    for r, x in enumerate(xs):
+        rank[x] = r
+        in_clique[x] = 1
+    flag = in_clique.__getitem__
+    for x in xs:
+        if sum(map(flag, adj[x])) != top - 1:
             return False
-    ys = ordering.independent_order
-    for a, b in zip(ys, ys[1:]):
-        if not set(adj[b]) <= set(adj[a]):
+    rank_of = rank.__getitem__
+    previous = top
+    for y in ordering.independent_order:
+        nbrs = adj[y]
+        d = len(nbrs)
+        if d > previous or (d and min(map(rank_of, nbrs)) < top - d):
             return False
+        previous = d
     return True
 
 
@@ -461,7 +482,10 @@ def gamma(
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
+    # The exact search loads only when a request reaches it.
     if method == "exact":
+        from .exact import solve
+
         return solve(graph, variant, max_n=max_n)
     if method != "auto" and variant != "scds":
         raise DomainError(f"the {method} formula computes the scds variant only")
@@ -477,6 +501,8 @@ def gamma(
                 return formula(graph)
             except DomainError:
                 pass
+    from .exact import solve
+
     return solve(graph, variant, max_n=max_n)
 
 

@@ -238,11 +238,13 @@ def from_edge_list(source: str | IO[str]) -> Graph:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
         raise ParseError(f"line {lineno}: non-numeric vertex id in {line!r}")
     n = max_id + 1
-    if header_n is not None:
-        if header_n < n:
-            raise ParseError(f"header declares {header_n} vertices but id {max_id} appears")
-        n = header_n
+    if header_n is not None and header_n < n:
+        raise ParseError(f"header declares {header_n} vertices but id {max_id} appears")
     graph = Graph.from_edges(n, edges)
+    if header_n is not None and header_n > n:
+        # Vertices above the largest id are isolated: they share one empty
+        # tuple instead of a bucket each.
+        graph = Graph(n=header_n, adj=graph.adj + ((),) * (header_n - n), m=graph.m)
     duplicates = len(edges) - graph.m
     if duplicates:
         warnings.warn(f"{duplicates} duplicate edge(s) collapsed", stacklevel=2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import warnings
@@ -340,3 +341,80 @@ def test_crosscheck_rejects_negative_count(capsys):
     assert code == 2
     assert out == ""
     assert "--count must be nonnegative" in err
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_commands_run_with_the_collector_paused_and_restore_it(graph_file, capsys, monkeypatch, collecting):
+    from securedom import cli
+    from securedom.graph import DomainError, ParseError
+
+    outcomes = [
+        (0, None),
+        (1, ParseError("bad line")),
+        (2, DomainError("wrong class")),
+        (3, None),
+        (4, RuntimeError("broken invariant")),
+    ]
+    seen = []
+    path = graph_file(P4)
+    was = gc.isenabled()
+    show = warnings.showwarning
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for code, error in outcomes:
+            def handler(args, code=code, error=error):
+                seen.append(gc.isenabled())
+                if error is not None:
+                    raise error
+                return {}, [], code
+
+            monkeypatch.setattr(cli, "_cmd_recognize", handler)
+            assert run(capsys, "recognize", "--in", path)[0] == code
+            assert gc.isenabled() is collecting
+            assert warnings.showwarning is show
+
+        def crash(args):
+            seen.append(gc.isenabled())
+            raise KeyError("uncaught")
+
+        monkeypatch.setattr(cli, "_cmd_recognize", crash)
+        with pytest.raises(KeyError):
+            main(["recognize", "--in", path])
+        assert gc.isenabled() is collecting
+        assert warnings.showwarning is show
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 6
+
+
+def test_cli_warnings_are_one_stable_line_each(graph_file):
+    duplicate = graph_file("0 1\n1 2\n1 0\n", "dup.el")
+    mismatch = graph_file("p 4 5\n0 1\n1 2\n", "header.el")
+    for path, expected in (
+        (duplicate, "warning: 1 duplicate edge(s) collapsed\n"),
+        (mismatch, "warning: header declares 5 edges but 2 unique edges parsed\n"),
+    ):
+        result = run_python(
+            "import sys\n"
+            "from securedom.cli import main\n"
+            f"sys.exit(main(['gamma', '--variant', 'ds', '--in', {path!r}]))\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == expected
+    # warning filters still apply to the command's warnings
+    result = run_python(
+        "import sys\n"
+        "from securedom.cli import main\n"
+        f"sys.exit(main(['recognize', '--in', {duplicate!r}]))\n",
+        "-W",
+        "ignore",
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    result = run_python(
+        "from securedom.cli import main\n"
+        f"main(['recognize', '--in', {duplicate!r}])\n",
+        "-W",
+        "error",
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == "UserWarning: 1 duplicate edge(s) collapsed"

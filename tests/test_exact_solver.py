@@ -17,9 +17,9 @@ from securedom import (
     random_tree,
     solve,
 )
-from securedom.exact import METHOD_EXACT, METHOD_TRIVIAL
 from securedom.families import FamilySpec, generate
 from securedom.fast import ThresholdRejection, is_block_graph, recognize_threshold
+from securedom.report import METHOD_EXACT, METHOD_TRIVIAL
 from securedom.verify import VARIANTS, check_variant
 
 

@@ -30,8 +30,8 @@ from securedom import (
     solve,
 )
 from securedom.cli import main
-from securedom.exact import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL
 from securedom.fast import bench_block_graph, bench_threshold_graph, validate_partition
+from securedom.report import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL
 from securedom.verify import is_scds_definition
 
 

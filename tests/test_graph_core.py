@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -48,6 +49,19 @@ def test_parse_header_adds_isolated_vertices():
     g = from_edge_list("p 5 2\n0 1\n1 2")
     assert (g.n, g.m) == (5, 2)
     assert g.adj[4] == ()
+
+
+def test_isolated_vertices_above_the_largest_id_share_one_empty_tuple():
+    tracemalloc.start()
+    try:
+        g = from_edge_list("p 2000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m, len(g.adj)) == (2_000_000, 0, 2_000_000)
+    assert peak < 64 * 2**20
+    g = from_edge_list("p 6 1\n1 2\n")
+    assert g == Graph.from_edges(6, [(1, 2)])
 
 
 def test_parse_header_must_cover_all_ids():

@@ -1,0 +1,239 @@
+"""The ``recognize`` command against every recognizer run in full, and the
+rank-based threshold certificate against the set-based nesting check."""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+from contextlib import redirect_stdout
+from itertools import combinations
+
+import pytest
+
+from securedom import (
+    DomainError,
+    Graph,
+    SplitPartition,
+    SplitRejection,
+    ThresholdOrdering,
+    ThresholdRejection,
+    block_decompose,
+    canonical_form,
+    enumerate_connected_graphs,
+    is_bipartite,
+    random_block_graph,
+    random_split_graph,
+    random_threshold_graph,
+    random_tree,
+    recognize_split,
+    recognize_threshold,
+    to_edge_list,
+)
+from securedom import cli, fast
+
+
+def _small_graphs():
+    """One graph per isomorphism class on 0..6 vertices (disjoint unions of
+    the connected classes), each also under two seeded relabelings."""
+    pieces = [g for k in range(1, 7) for g in enumerate_connected_graphs(k)]
+    rng = random.Random(6)
+
+    def grow(start: int, graph: Graph):
+        yield graph
+        for i in range(start, len(pieces)):
+            if graph.n + pieces[i].n <= 6:
+                yield from grow(i, _union(graph, pieces[i]))
+
+    for graph in grow(0, Graph.from_edges(0, [])):
+        yield graph
+        yield _relabel(graph, rng)
+        yield _relabel(graph, rng)
+
+
+def _relabel(graph: Graph, rng: random.Random) -> Graph:
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
+def _union(a: Graph, b: Graph) -> Graph:
+    return Graph.from_edges(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _seeded_graphs():
+    """Relabeled threshold, split, block, tree and G(n, p) graphs with
+    n = 7..40, and disjoint unions and isolated-vertex paddings of them."""
+    rng = random.Random(8)
+    for n in range(7, 41):
+        seed = rng.randrange(10**6)
+        pieces = [
+            random_threshold_graph(n, seed),
+            random_split_graph(n, seed)[0],
+            random_block_graph(n, seed),
+            random_tree(n, seed),
+            _gnp(n, rng.choice((0.1, 0.3, 0.6)), rng),
+        ]
+        for graph in pieces:
+            yield _relabel(graph, rng)
+        small = random_threshold_graph(rng.randint(1, 5), seed)
+        for graph in pieces[:4]:
+            yield _relabel(_union(graph, small), rng)
+            yield _relabel(_union(graph, Graph.from_edges(rng.randint(1, 3), [])), rng)
+
+
+def _reference_recognize(graph: Graph) -> dict:
+    """The classes and obstruction with every recognizer run in full."""
+    try:
+        block_graph = block_decompose(graph).cliques
+        connected = True
+    except DomainError:
+        block_graph = connected = False
+    split = recognize_split(graph)
+    payload = {
+        "classes": {
+            "connected": connected,
+            "complete": graph.is_complete(),
+            "tree": connected and graph.m == graph.n - 1,
+            "block_graph": block_graph,
+            "split": not isinstance(split, SplitRejection),
+            "threshold": not isinstance(recognize_threshold(graph), ThresholdRejection),
+            "bipartite": is_bipartite(graph),
+        }
+    }
+    if isinstance(split, SplitRejection) and split.obstruction:
+        payload["split_obstruction"] = {
+            "kind": split.obstruction_kind,
+            "vertices": list(split.obstruction),
+        }
+    return payload
+
+
+@pytest.fixture
+def recognize_main(monkeypatch):
+    """``securedom --format json recognize --in -`` through ``cli.main``,
+    with one parser built for all calls."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    def run(graph: Graph) -> dict:
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_edge_list(graph)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["--format", "json", "recognize", "--in", "-"])
+        assert code == 0
+        payload = json.loads(out.getvalue())
+        assert payload.pop("command") == "recognize"
+        assert payload.pop("graph") == {"n": graph.n, "m": graph.m}
+        payload.pop("elapsed_ms")
+        return payload
+
+    return run
+
+
+def test_small_graph_corpus_holds_every_class():
+    classes = {canonical_form(g) for g in _small_graphs()}
+    assert len(classes) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+
+
+def test_recognize_matches_full_recognizers_on_every_small_graph(recognize_main):
+    for graph in _small_graphs():
+        assert recognize_main(graph) == _reference_recognize(graph), graph
+
+
+def test_recognize_matches_full_recognizers_on_seeded_graphs(recognize_main):
+    seen = {"connected": set(), "block_graph": set(), "split": set(), "threshold": set(), "bipartite": set()}
+    for graph in _seeded_graphs():
+        payload = recognize_main(graph)
+        assert payload == _reference_recognize(graph), graph
+        for name, values in seen.items():
+            values.add(payload["classes"][name])
+    # the corpus reaches both answers of every class the shortcuts touch
+    assert all(values == {True, False} for values in seen.values())
+
+
+# -- the threshold certificate ---------------------------------------------
+
+
+def _set_based_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
+    """The nesting check the rank certificate replaced: clique, independent
+    set, and both chains by consecutive subset tests."""
+    adj = graph.adj
+    c = ordering.partition.clique
+    i = ordering.partition.independent
+    for x in c:
+        if sum(1 for w in adj[x] if w in c) != len(c) - 1:
+            return False
+    for y in i:
+        if any(w in i for w in adj[y]):
+            return False
+    xs = ordering.clique_order
+    for a, b in zip(xs, xs[1:]):
+        if not set(adj[a]) | {a} <= set(adj[b]) | {b}:
+            return False
+    ys = ordering.independent_order
+    for a, b in zip(ys, ys[1:]):
+        if not set(adj[b]) <= set(adj[a]):
+            return False
+    return True
+
+
+def _ordering(xs, ys) -> ThresholdOrdering:
+    xs, ys = tuple(xs), tuple(ys)
+    return ThresholdOrdering(SplitPartition(frozenset(xs), frozenset(ys)), xs, ys)
+
+
+def _orderings(graph: Graph, rng: random.Random):
+    """The peel's ordering, or a degree-sorted guess on the split partition
+    (or the top half by degree), followed by corrupted copies: two entries
+    swapped on either side, and a vertex moved across the partition."""
+    found = recognize_threshold(graph)
+    if isinstance(found, ThresholdOrdering):
+        base = found
+    else:
+        degree = lambda v: (len(graph.adj[v]), v)  # noqa: E731
+        split = recognize_split(graph)
+        if isinstance(split, SplitPartition):
+            clique = split.clique
+        else:
+            clique = sorted(range(graph.n), key=degree)[graph.n // 2 :]
+        xs = sorted(clique, key=degree)
+        ys = sorted(set(range(graph.n)) - set(clique), key=degree, reverse=True)
+        base = _ordering(xs, ys)
+    yield base
+    xs, ys = list(base.clique_order), list(base.independent_order)
+    for side, other in ((xs, ys), (ys, xs)):
+        if len(side) >= 2:
+            a, b = rng.sample(range(len(side)), 2)
+            swapped = side.copy()
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            yield _ordering(swapped, ys) if side is xs else _ordering(xs, swapped)
+        if side:
+            moved = side.copy()
+            v = moved.pop(rng.randrange(len(moved)))
+            target = other.copy()
+            target.insert(rng.randint(0, len(target)), v)
+            yield _ordering(moved, target) if side is xs else _ordering(target, moved)
+
+
+def test_rank_certificate_agrees_with_the_set_based_check():
+    rng = random.Random(2007)
+    verdicts = set()
+    corpus = [g for g in _small_graphs() if g.n >= 1]
+    corpus.extend(_seeded_graphs())
+    for graph in corpus:
+        for ordering in _orderings(graph, rng):
+            verdict = fast._threshold_ordering_valid(graph, ordering)
+            assert verdict == _set_based_ordering_valid(graph, ordering), (graph, ordering)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_recognize_threshold_rejects_with_the_same_reason_when_the_certificate_fails(monkeypatch):
+    monkeypatch.setattr(fast, "_threshold_ordering_valid", lambda graph, ordering: False)
+    rejection = recognize_threshold(random_threshold_graph(12, 3))
+    assert rejection == ThresholdRejection(reason="nesting chains failed validation")

@@ -12,7 +12,7 @@ import pytest
 
 import securedom
 from conftest import path_graph, run_python
-from securedom import crosscheck, exact, families, fast, graph, names, reductions, verify
+from securedom import crosscheck, exact, families, fast, graph, names, reductions, report, verify
 from securedom.cli import build_parser
 
 P4 = "0 1\n1 2\n2 3\n"
@@ -36,8 +36,8 @@ BUILDERS = {"securedom.families", "securedom.reductions", "securedom.crosscheck"
 
 def _start(argv: list[str]) -> tuple[int, set[str]]:
     result = run_python(START_PROBE.format(argv=argv))
-    report = json.loads(result.stderr.splitlines()[-1])
-    return report["code"], set(report["added"])
+    probe = json.loads(result.stderr.splitlines()[-1])
+    return probe["code"], set(probe["added"])
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -61,6 +61,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name in ("gamma", "recognize"):
         assert not added[name] & BUILDERS, name
         assert "securedom.fast" in added[name], name
+    # P4 is a block graph, so neither command reaches the exact search.
+    assert not added["recognize"] & {"securedom.exact", "securedom.verify"}
+    assert "securedom.exact" not in added["gamma"]
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -134,7 +137,7 @@ def _records() -> dict[type, object]:
         graph.Graph: g,
         graph.ComponentLabeling: g.components(),
         verify.DefenderMap: verify.DefenderMap({0: frozenset()}),
-        exact.SolveReport: exact.solve(g, "scds"),
+        report.SolveReport: exact.solve(g, "scds"),
         fast.BlockDecomposition: fast.block_decompose(g),
         fast.SplitPartition: fast.recognize_split(g),
         fast.SplitRejection: fast.recognize_split(graph.Graph.from_edges(4, [(0, 1), (2, 3)])),
@@ -155,8 +158,8 @@ def test_solve_path_records_keep_their_repr_hash_and_immutability():
     g = graph.Graph.from_edges(3, [(1, 2), (0, 1)])
     assert repr(g) == "Graph(n=3, adj=((1,), (0, 2), (1,)), m=2)"
     assert hash(g) == hash((3, ((1,), (0, 2), (1,)), 2))
-    report = exact.SolveReport("scds", 1, frozenset({0}), "trivial_complete", 0.5, 0)
-    assert repr(report) == (
+    solved = report.SolveReport("scds", 1, frozenset({0}), "trivial_complete", 0.5, 0)
+    assert repr(solved) == (
         "SolveReport(variant='scds', value=1, witness=frozenset({0}), "
         "method='trivial_complete', elapsed=0.5, nodes_explored=0)"
     )
