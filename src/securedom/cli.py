@@ -122,39 +122,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .fast import (
-        SplitRejection,
-        ThresholdRejection,
-        is_bipartite,
-        is_block_graph,
-        recognize_split,
-        recognize_threshold,
-    )
+    from .fast import recognize_classes
 
     graph = _load_graph(args)
     start = time.perf_counter()
-    # The lowpoint walk refuses exactly the graphs that are empty or
-    # disconnected, so its outcome doubles as the connectivity test.
-    try:
-        block_graph = is_block_graph(graph)
-        connected = True
-    except DomainError:
-        block_graph = connected = False
-    tree = connected and graph.m == graph.n - 1
-    threshold = not isinstance(recognize_threshold(graph), ThresholdRejection)
-    # A certified threshold ordering is a split partition (Chvatal-Hammer),
-    # and a block graph with a block of three or more vertices holds a
-    # triangle, so it is bipartite iff it is a tree.
-    split = None if threshold else recognize_split(graph)
-    classes = {
-        "connected": connected,
-        "complete": graph.is_complete(),
-        "tree": tree,
-        "block_graph": block_graph,
-        "split": not isinstance(split, SplitRejection),
-        "threshold": threshold,
-        "bipartite": tree if block_graph else is_bipartite(graph),
-    }
+    classes, split = recognize_classes(graph)
     payload = {
         "command": "recognize",
         "graph": _graph_field(graph),
@@ -162,7 +134,7 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = [f"{name} {str(flag).lower()}" for name, flag in sorted(classes.items())]
-    if isinstance(split, SplitRejection) and split.obstruction:
+    if split is not None and split.obstruction:
         payload["split_obstruction"] = {
             "kind": split.obstruction_kind,
             "vertices": list(split.obstruction),
@@ -176,7 +148,6 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .families import FamilySpec, formula_value, formula_witness, generate
-    from .verify import check_variant
 
     start = time.perf_counter()
     spec = FamilySpec(args.kind, args.n)
@@ -190,16 +161,19 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "edge_list": edge_list,
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
-    text = [edge_list.rstrip("\n")]
     if args.emit_witness:
+        from .verify import check_variant
+
         witness = formula_witness(spec)
         if not check_variant(graph, "scds", witness):
             raise RuntimeError(f"{args.kind} formula witness failed scds re-verification")
-        value = formula_value(spec)
         payload["witness"] = format_vertex_set(witness)
-        payload["value"] = value
-        text.append(f"witness {payload['witness']}")
-        text.append(f"value {value}")
+        payload["value"] = formula_value(spec)
+    text = []
+    if args.format == "text":
+        text.append(edge_list.rstrip("\n"))
+        if args.emit_witness:
+            text += [f"witness {payload['witness']}", f"value {payload['value']}"]
     return payload, text, 0
 
 
@@ -210,17 +184,20 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     start = time.perf_counter()
     artifact = build(args.kind, graph, args.param)
     edge_list = to_edge_list(artifact.output_graph)
+    # The JSON keys are sorted on output, so the provenance needs no sort here.
     payload = {
         "command": "reduce",
         "kind": args.kind,
         "graph": _graph_field(artifact.output_graph),
         "parameter": artifact.output_parameter,
         "edge_list": edge_list,
-        "provenance": {str(v): role for v, role in sorted(artifact.provenance.items())},
+        "provenance": {str(v): role for v, role in artifact.provenance.items()},
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
-    text = [edge_list.rstrip("\n"), f"parameter {artifact.output_parameter}", "provenance:"]
-    text.extend(f"  {v} {role}" for v, role in sorted(artifact.provenance.items()))
+    text = []
+    if args.format == "text":
+        text = [edge_list.rstrip("\n"), f"parameter {artifact.output_parameter}", "provenance:"]
+        text.extend(f"  {v} {role}" for v, role in sorted(artifact.provenance.items()))
     return payload, text, 0
 
 

@@ -71,33 +71,36 @@ def generate(spec: FamilySpec) -> Graph:
     book B(n): centers 0 and n+1; first-page leaves 1..n, second-page leaves
         n+2..2n+1; page stars plus the matching i <-> i+n+1 for i = 0..n.
     ladder L(n): bottom path 0..n-1, top path n..2n-1, rungs i <-> i+n.
+
+    Each vertex's sorted neighbour tuple is written down from that labeling
+    directly, and the edge count is the kind's closed form.
     """
     kind, n = spec.kind, spec.n
     if kind == "complete":
-        return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if kind == "star":
-        return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
-    if kind == "subdivided_wheel":
+        everyone = tuple(range(n))
+        adj = [everyone[:v] + everyone[v + 1 :] for v in range(n)]
+    elif kind == "star":
+        adj = [tuple(range(1, n + 1)), *((0,),) * n]
+    elif kind == "subdivided_wheel":
         hub = 2 * n
-        edges = []
-        for j in range(n):
-            c, s, c_next = 2 * j, 2 * j + 1, 2 * ((j + 1) % n)
-            edges.append((c, s))
-            edges.append((s, c_next))
-            edges.append((hub, c))
-        return Graph.from_edges(2 * n + 1, edges)
-    if kind == "book":
-        center0, center1 = 0, n + 1
-        edges = [(center0, i) for i in range(1, n + 1)]
-        edges += [(center1, center1 + i) for i in range(1, n + 1)]
-        edges += [(i, i + n + 1) for i in range(0, n + 1)]
-        return Graph.from_edges(2 * n + 2, edges)
-    if kind == "ladder":
-        edges = [(i, i + 1) for i in range(n - 1)]
-        edges += [(n + i, n + i + 1) for i in range(n - 1)]
-        edges += [(i, i + n) for i in range(n)]
-        return Graph.from_edges(2 * n, edges)
-    raise DomainError(f"unknown family kind {kind!r}")
+        adj = [(c - 1, c + 1, hub) if c % 2 == 0 else (c - 1, c + 1) for c in range(hub)]
+        adj[0] = (1, hub - 1, hub)
+        adj[hub - 1] = (0, hub - 2)
+        adj.append(tuple(range(0, hub, 2)))
+    elif kind == "book":
+        center1 = n + 1
+        adj = [tuple(range(1, n + 2))]
+        adj += [(0, i + center1) for i in range(1, n + 1)]
+        adj.append((0, *range(n + 2, 2 * n + 2)))
+        adj += [(i, center1) for i in range(1, n + 1)]
+    elif kind == "ladder":
+        adj = [(i - 1, i + 1, i + n) for i in range(n)]
+        adj += [(i, i + n - 1, i + n + 1) for i in range(n)]
+        adj[0], adj[n - 1] = (1, n), (n - 2, 2 * n - 1)
+        adj[n], adj[-1] = (0, n + 1), (n - 1, 2 * n - 2)
+    else:
+        raise DomainError(f"unknown family kind {kind!r}")
+    return Graph(len(adj), tuple(adj), _EDGE_COUNT[kind](n))
 
 
 def formula_value(spec: FamilySpec) -> int:

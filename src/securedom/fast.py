@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import deque
 from itertools import combinations
 from typing import NamedTuple
@@ -333,7 +334,7 @@ def random_split_graph(n: int, seed: int) -> tuple[Graph, SplitPartition]:
 def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
     """Degree peel; returns nested-neighborhood orders or a rejection.
 
-    The orders are re-validated directly by a rank certificate (see
+    The orders are re-validated directly by a count certificate (see
     ``_threshold_ordering_valid``), so acceptance certifies the
     characterization and never rests on the peel alone.
     """
@@ -378,35 +379,41 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
 
 
 def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
-    """Certify the orders in O(n + m) with one rank array over clique_order.
+    """Certify the orders in O(n + m) by counting neighbours.
 
-    The orders fix the whole graph: the clique side is a clique, and each
-    independent vertex of degree d sees exactly the d highest ranks, so it
-    sees no independent vertex.  Those neighbourhoods are then suffixes of
-    clique_order, which makes the closed neighbourhoods grow along it, and
-    with degrees that do not increase along independent_order the open
-    neighbourhoods shrink along that order (Chvatal-Hammer nesting).
+    The clique side must be a clique (a flag count per clique vertex), the
+    degrees along independent_order must not increase and stay at most
+    |C|, and the clique vertices must account for every independent
+    degree, so no edge joins two independent vertices.  The clique vertex
+    at rank r must then see exactly #{y : deg y >= |C| - r} independent
+    vertices: those row sums are the conjugate of the independent degrees,
+    which admit exactly one 0-1 matrix (Ryser 1957), the one in which each
+    independent vertex of degree d sees the d highest ranks.  So each
+    independent neighbourhood is a suffix of clique_order, which makes the
+    closed neighbourhoods grow along it and the open ones shrink along
+    independent_order (Chvatal-Hammer nesting).
     """
     adj = graph.adj
     xs = ordering.clique_order
     top = len(xs)
-    rank = [-1] * graph.n
     in_clique = bytearray(graph.n)
-    for r, x in enumerate(xs):
-        rank[x] = r
+    for x in xs:
         in_clique[x] = 1
     flag = in_clique.__getitem__
     for x in xs:
         if sum(map(flag, adj[x])) != top - 1:
             return False
-    rank_of = rank.__getitem__
-    previous = top
-    for y in ordering.independent_order:
-        nbrs = adj[y]
-        d = len(nbrs)
-        if d > previous or (d and min(map(rank_of, nbrs)) < top - d):
+    degrees = list(map(len, map(adj.__getitem__, ordering.independent_order)))
+    if degrees and (degrees[0] > top or degrees != sorted(degrees, reverse=True)):
+        return False
+    outward = [len(adj[x]) - (top - 1) for x in xs]
+    if sum(degrees) != sum(outward):
+        return False
+    ascending = degrees[::-1]
+    count = len(ascending)
+    for r, d in enumerate(outward):
+        if d != count - bisect_left(ascending, top - r):
             return False
-        previous = d
     return True
 
 
@@ -526,6 +533,64 @@ def is_bipartite(graph: Graph) -> bool:
                 elif color[w] == color[u]:
                     return False
     return True
+
+
+def recognize_classes(graph: Graph) -> tuple[dict[str, bool], SplitRejection | None]:
+    """The classes ``securedom recognize`` reports, and the split rejection
+    when the graph is not split.
+
+    An accepted threshold certificate answers every class without a search.
+    The graph is split (Chvatal-Hammer).  It is connected iff n = 1 or the
+    last clique-order vertex is universal; then the p pendants hang on that
+    vertex and the other h = n - p vertices form one 2-connected block, so
+    it is a block graph iff n <= 2 or that block is a clique (m - p =
+    h(h-1)/2).  It is bipartite iff it holds no triangle: the clique side
+    has at most one vertex, or two that no independent vertex sees both of.
+
+    Otherwise a graph with m = n - 1 is connected iff it is a tree, and
+    trees are bipartite block graphs, so one search answers all four.  Any
+    other graph runs the lowpoint walk, which refuses exactly the empty and
+    disconnected graphs, and a block graph with m != n - 1 holds a triangle.
+    """
+    n, m, adj = graph.n, graph.m, graph.adj
+    ordering = recognize_threshold(graph)
+    threshold = isinstance(ordering, ThresholdOrdering)
+    rejection = None
+    if threshold:
+        xs = ordering.clique_order
+        connected = n == 1 or (bool(xs) and len(adj[xs[-1]]) == n - 1)
+        block_graph = False
+        if connected:
+            pendants = list(map(len, adj)).count(1)
+            h = n - pendants
+            block_graph = n <= 2 or m - pendants == h * (h - 1) // 2
+        bipartite = len(xs) <= 1 or (
+            len(xs) == 2 and all(len(adj[y]) <= 1 for y in ordering.independent_order)
+        )
+    else:
+        split = recognize_split(graph)
+        if isinstance(split, SplitRejection):
+            rejection = split
+        if m == n - 1:
+            connected = block_graph = graph.is_connected()
+            bipartite = connected or is_bipartite(graph)
+        else:
+            try:
+                block_graph = is_block_graph(graph)
+                connected = True
+            except DomainError:
+                block_graph = connected = False
+            bipartite = not block_graph and is_bipartite(graph)
+    classes = {
+        "connected": connected,
+        "complete": graph.is_complete(),
+        "tree": connected and m == n - 1,
+        "block_graph": block_graph,
+        "split": rejection is None,
+        "threshold": threshold,
+        "bipartite": bipartite,
+    }
+    return classes, rejection
 
 
 def bench_block_graph(n: int) -> Graph:

@@ -13,7 +13,6 @@ edges are collapsed with a warning; self-loops are rejected.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from collections import deque
 from io import StringIO
 from typing import IO, Iterable, NamedTuple
@@ -72,29 +71,20 @@ class Graph(NamedTuple):
         """Build a graph from an edge iterable, validating simple-graph invariants.
 
         Duplicate edges (in either orientation) are collapsed silently here,
-        so ``m`` counts distinct edges and the parser derives its duplicate
-        warning from it; self-loops and out-of-range endpoints raise.  Each
-        edge appends its endpoints to per-vertex buckets; the buckets are
-        deduplicated only when their set sizes show a repeated edge, and each
-        is sorted in place once, so construction is linear apart from the
-        per-vertex sorts.
+        so ``m`` counts distinct edges; self-loops and out-of-range
+        endpoints raise.  Each edge is checked and stored as (min, max),
+        and the adjacency comes from ``_build``.
         """
         if n < 0:
             raise DomainError(f"vertex count must be nonnegative, got {n}")
-        buckets: list[list[int]] = [[] for _ in range(n)]
+        pairs: list[tuple[int, int]] = []
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            buckets[u].append(v)
-            buckets[v].append(u)
-        distinct = sum(map(len, map(set, buckets)))
-        if distinct != sum(map(len, buckets)):
-            buckets = [list(set(bucket)) for bucket in buckets]
-        for bucket in buckets:
-            bucket.sort()
-        return cls(n=n, adj=tuple(map(tuple, buckets)), m=distinct // 2)
+            pairs.append((u, v) if u < v else (v, u))
+        return _build(n, pairs, len(set(pairs)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -162,9 +152,21 @@ class Graph(NamedTuple):
         return ComponentLabeling(labels=labels, count=count)
 
     def is_connected(self) -> bool:
+        """One depth-first search from vertex 0 over a flag per vertex."""
         if self.n == 0:
             return False
-        return self.components().count == 1
+        adj = self.adj
+        seen = bytearray(self.n)
+        seen[0] = 1
+        stack = [0]
+        reached = 1
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = 1
+                    reached += 1
+                    stack.append(w)
+        return reached == self.n
 
     def leaves(self) -> frozenset[int]:
         """Vertices of degree 1 (pendant vertices)."""
@@ -177,6 +179,21 @@ class Graph(NamedTuple):
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise DomainError(f"vertex {v} outside range 0..{self.n - 1}")
+
+
+def _build(n: int, edges: list[tuple[int, int]], distinct: int) -> Graph:
+    """Graph on 0..n-1 from checked (min, max) edges, ``distinct`` of them
+    different: per-vertex buckets, deduplicated only when that count shows
+    a repeat, each sorted once."""
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        buckets[u].append(v)
+        buckets[v].append(u)
+    if distinct != len(edges):
+        buckets = [list(set(bucket)) for bucket in buckets]
+    for bucket in buckets:
+        bucket.sort()
+    return Graph(n, tuple(map(tuple, buckets)), distinct)
 
 
 def _parse_header(parts: list[str], lineno: int) -> tuple[int, int]:
@@ -215,15 +232,16 @@ def from_edge_list(source: str | IO[str]) -> Graph:
         except ValueError:
             pass
         else:
-            if u < 0 or v < 0:
+            if u > v:
+                u, v = v, u
+            if u < 0:
                 raise ParseError(f"line {lineno}: negative vertex id")
-            high = u if u > v else v
-            if high >= MAX_VERTICES:
+            if v >= MAX_VERTICES:
                 raise ParseError(f"line {lineno}: vertex id too large")
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-            if high > max_id:
-                max_id = high
+            if v > max_id:
+                max_id = v
             edges.append((u, v))
             continue
         if not parts or parts[0][0] == "#":
@@ -240,7 +258,7 @@ def from_edge_list(source: str | IO[str]) -> Graph:
     n = max_id + 1
     if header_n is not None and header_n < n:
         raise ParseError(f"header declares {header_n} vertices but id {max_id} appears")
-    graph = Graph.from_edges(n, edges)
+    graph = _build(n, edges, len(set(edges)))
     if header_n is not None and header_n > n:
         # Vertices above the largest id are isolated: they share one empty
         # tuple instead of a bucket each.
@@ -261,13 +279,16 @@ def to_edge_list(graph: Graph) -> str:
 
     Round-trips through from_edge_list and is byte-stable, so structurally
     equal graphs serialize identically.  Each vertex's neighbours above it
-    are read straight from its sorted adjacency tuple.
+    are read straight from its sorted adjacency tuple, and each id is
+    formatted once.
     """
+    names = list(map(str, range(graph.n)))
     lines = [f"p {graph.n} {graph.m}"]
     for u, nbrs in enumerate(graph.adj):
-        head = f"{u} "
-        for v in nbrs[bisect_right(nbrs, u) :]:
-            lines.append(head + str(v))
+        head = names[u] + " "
+        for v in nbrs:
+            if v > u:
+                lines.append(head + names[v])
     return "\n".join(lines) + "\n"
 
 

@@ -20,10 +20,14 @@ counterexample is reported with the witnessing threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .exact import solve
-from .fast import SplitPartition, SplitRejection, recognize_split, validate_partition
 from .graph import DomainError, Graph
+
+# The split helpers load with the split kinds and the exact search with
+# check_equivalence, so the universal and bipartite builders run without them.
+if TYPE_CHECKING:
+    from .fast import SplitPartition
 
 REDUCTION_KINDS = {
     "dm_to_scdm": ("ds", "scds", 1),
@@ -64,13 +68,15 @@ def reduce_universal(graph: Graph, k: int, kind: str = "dm_to_scdm") -> Reductio
         raise DomainError(f"kind {kind!r} is not a universal-vertex reduction")
     if k < 1:
         raise DomainError("parameter must be at least 1")
+    # x takes the highest id, so appending it keeps every row sorted.
     x = graph.n
-    edges = graph.edges() + [(u, x) for u in range(graph.n)]
+    adj = [row + (x,) for row in graph.adj]
+    adj.append(tuple(range(x)))
     provenance = {u: f"v{u}" for u in range(graph.n)}
     provenance[x] = "x"
     return ReductionArtifact(
         kind=kind,
-        output_graph=Graph.from_edges(graph.n + 1, edges),
+        output_graph=Graph(x + 1, tuple(adj), graph.m + x),
         input_parameter=k,
         output_parameter=k + 1,
         provenance=provenance,
@@ -120,19 +126,24 @@ def reduce_split(
 
     The output is split with clique + {x} and independent + {y}.
     """
+    from .fast import validate_partition
+
     if kind not in _SPLIT_KINDS:
         raise DomainError(f"kind {kind!r} is not a split reduction")
     if k < 1:
         raise DomainError("parameter must be at least 1")
     if not validate_partition(graph, partition):
         raise DomainError("invalid split partition for the input graph")
+    # x and y take the two highest ids, so appending them keeps every row
+    # sorted.
     x, y = graph.n, graph.n + 1
-    edges = graph.edges() + [(u, x) for u in range(graph.n)] + [(x, y)]
+    adj = [row + (x,) for row in graph.adj]
+    adj += [(*range(x), y), (x,)]
     provenance = {u: f"v{u}" for u in range(graph.n)}
     provenance.update({x: "x", y: "y"})
     return ReductionArtifact(
         kind=kind,
-        output_graph=Graph.from_edges(graph.n + 2, edges),
+        output_graph=Graph(y + 1, tuple(adj), graph.m + x + 1),
         input_parameter=k,
         output_parameter=k + 2,
         provenance=provenance,
@@ -149,6 +160,8 @@ def build(
         return reduce_bipartite(graph, parameter, kind)
     if kind in _SPLIT_KINDS:
         if partition is None:
+            from .fast import SplitRejection, recognize_split
+
             found = recognize_split(graph)
             if isinstance(found, SplitRejection):
                 raise DomainError(f"input is not a split graph: {found.reason}")
@@ -210,6 +223,8 @@ def check_equivalence(
     Guarded: refuses when the output graph would exceed ``max_output_n``
     vertices, since both sides go through the exponential exact solver.
     """
+    from .exact import solve
+
     if kind not in REDUCTION_KINDS:
         raise DomainError(f"unknown reduction kind {kind!r}")
     source_variant, target_variant, offset = REDUCTION_KINDS[kind]

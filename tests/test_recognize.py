@@ -1,5 +1,6 @@
 """The ``recognize`` command against every recognizer run in full, and the
-rank-based threshold certificate against the set-based nesting check."""
+count-based threshold certificate against the rank-based and set-based
+checks it replaced."""
 
 from __future__ import annotations
 
@@ -156,6 +157,41 @@ def test_recognize_matches_full_recognizers_on_seeded_graphs(recognize_main):
     assert all(values == {True, False} for values in seen.values())
 
 
+def _shortcut_graphs():
+    """Graphs at the boundaries of the shortcuts: disconnected graphs with
+    m = n - 1, tiny threshold graphs, stars, complete graphs, a star beside
+    an isolated vertex, and cliques with pendants on one vertex."""
+    for k in range(3, 9):
+        cycle = [(i, (i + 1) % k) for i in range(k)]
+        yield Graph.from_edges(k + 1, cycle)  # a cycle plus an isolated vertex
+        for a in range(2, 5):
+            path = [(k + i, k + i + 1) for i in range(a - 1)]
+            yield Graph.from_edges(k + a, cycle + path)  # a path plus a cycle
+            yield Graph.from_edges(k + a + 1, cycle + path + [(k + a - 1, k + a)])
+        yield Graph.from_edges(k + 3, cycle + [(k, k + 1)])  # ... plus an isolated vertex
+    yield Graph.from_edges(1, [])
+    yield Graph.from_edges(2, [])
+    yield Graph.from_edges(2, [(0, 1)])
+    for k in range(1, 10):
+        star = [(0, i) for i in range(1, k + 1)]
+        yield Graph.from_edges(k + 1, star)
+        yield Graph.from_edges(k + 2, star)  # beside an isolated vertex
+        yield Graph.from_edges(k, list(combinations(range(k), 2)))
+    for h in range(1, 7):
+        for p in range(0, 4):
+            clique = list(combinations(range(h), 2))
+            yield Graph.from_edges(h + p, clique + [(0, h + i) for i in range(p)])
+            if h >= 4:
+                yield Graph.from_edges(h + p, clique[1:] + [(h - 1, h + i) for i in range(p)])
+
+
+def test_recognize_matches_full_recognizers_on_the_shortcut_cases(recognize_main):
+    rng = random.Random(11)
+    for graph in _shortcut_graphs():
+        for labeled in (graph, _relabel(graph, rng)):
+            assert recognize_main(labeled) == _reference_recognize(labeled), labeled
+
+
 # -- the threshold certificate ---------------------------------------------
 
 
@@ -179,6 +215,28 @@ def _set_based_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool
     for a, b in zip(ys, ys[1:]):
         if not set(adj[b]) <= set(adj[a]):
             return False
+    return True
+
+
+def _rank_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
+    """The rank certificate the count certificate replaced: a clique side,
+    and each independent vertex of degree d seeing the d highest ranks of
+    clique_order, with degrees not increasing along independent_order."""
+    adj = graph.adj
+    xs = ordering.clique_order
+    top = len(xs)
+    rank = [-1] * graph.n
+    for r, x in enumerate(xs):
+        rank[x] = r
+    for x in xs:
+        if sum(1 for w in adj[x] if rank[w] >= 0) != top - 1:
+            return False
+    previous = top
+    for y in ordering.independent_order:
+        d = len(adj[y])
+        if d > previous or (d and min(rank[w] for w in adj[y]) < top - d):
+            return False
+        previous = d
     return True
 
 
@@ -220,14 +278,16 @@ def _orderings(graph: Graph, rng: random.Random):
             yield _ordering(moved, target) if side is xs else _ordering(target, moved)
 
 
-def test_rank_certificate_agrees_with_the_set_based_check():
+def test_count_certificate_agrees_with_the_rank_and_set_based_checks():
     rng = random.Random(2007)
     verdicts = set()
     corpus = [g for g in _small_graphs() if g.n >= 1]
     corpus.extend(_seeded_graphs())
+    corpus.extend(_shortcut_graphs())
     for graph in corpus:
         for ordering in _orderings(graph, rng):
             verdict = fast._threshold_ordering_valid(graph, ordering)
+            assert verdict == _rank_ordering_valid(graph, ordering), (graph, ordering)
             assert verdict == _set_based_ordering_valid(graph, ordering), (graph, ordering)
             verdicts.add(verdict)
     assert verdicts == {True, False}

@@ -48,12 +48,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "recognize": ["recognize", "--in", str(path)],
         "gamma": ["gamma", "--in", str(path)],
         "verify": ["verify", "--in", str(path), "--set", "1,2"],
+        "reduce": ["reduce", "--kind", "dm_to_scdm", "--param", "1", "--in", str(path)],
+        "family": ["family", "--kind", "ladder", "--n", "4"],
     }
     added = {}
     for name, argv in runs.items():
         code, added[name] = _start(argv)
         assert code == 0, name
-        assert "dataclasses" not in added[name], name
+        if name not in ("reduce", "family"):
+            assert "dataclasses" not in added[name], name
     package = {m for m in added["help"] if m.startswith("securedom")}
     assert package == {"securedom", "securedom.cli", "securedom.graph", "securedom.names"}
     assert not added["verify"] & (SOLVERS | BUILDERS)
@@ -64,6 +67,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # P4 is a block graph, so neither command reaches the exact search.
     assert not added["recognize"] & {"securedom.exact", "securedom.verify"}
     assert "securedom.exact" not in added["gamma"]
+    # The universal gadget needs neither the split helpers nor the search,
+    # and a family without --emit-witness checks no witness.
+    assert not added["reduce"] & {"securedom.fast", "securedom.exact", "securedom.verify"}
+    assert "securedom.verify" not in added["family"]
 
 
 def test_bare_package_import_loads_no_submodule():
