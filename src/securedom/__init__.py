@@ -3,7 +3,7 @@ verifiers, graph-class algorithms, family formulas, and hardness-reduction
 builders, cross-validated against brute force at desk scale.
 
 The public names load on first use (PEP 562): ``import securedom`` imports
-no submodule, and ``securedom.gamma`` imports ``securedom.fast`` (and what
+no submodule, and ``securedom.gamma`` imports ``securedom.report`` (and what
 it needs) the first time it is read.
 """
 
@@ -26,7 +26,6 @@ _EXPORTS = {
         "ThresholdOrdering",
         "ThresholdRejection",
         "block_decompose",
-        "gamma",
         "gamma_sc_block",
         "gamma_sc_threshold",
         "is_bipartite",
@@ -36,7 +35,7 @@ _EXPORTS = {
         "recognize_threshold",
     ),
     "graph": ("ComponentLabeling", "DomainError", "Graph", "ParseError", "from_edge_list", "to_edge_list"),
-    "report": ("SolveReport",),
+    "report": ("SolveReport", "gamma"),
     "reductions": (
         "REDUCTION_KINDS",
         "EquivalenceReport",

@@ -32,7 +32,6 @@ from .graph import (
     format_vertex_set,
     from_edge_list,
     parse_vertex_set,
-    require_vertex_count,
     to_edge_list,
 )
 from .names import (
@@ -73,7 +72,7 @@ def _graph_field(graph: Graph) -> dict:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .fast import gamma
+    from .report import gamma
     from .verify import check_variant
 
     graph = _load_graph(args)
@@ -285,45 +284,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, text, 0 if passed == len(results) else 3
 
 
-def _cmd_bench(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .fast import bench_block_graph, bench_threshold_graph, gamma_sc_block, gamma_sc_threshold
-
-    solver = gamma_sc_block if args.method == "block" else gamma_sc_threshold
-    builder = bench_block_graph if args.method == "block" else bench_threshold_graph
-    if args.doubling:
-        require_vertex_count(2 * args.n, "the doubled bench instance")
-
-    def run(n: int) -> tuple[int, float]:
-        graph = builder(n)
-        start = time.perf_counter()
-        report = solver(graph)
-        return report.value, time.perf_counter() - start
-
-    value, elapsed = run(args.n)
-    payload = {
-        "command": "bench",
-        "method": args.method,
-        "n": args.n,
-        "value": value,
-        "elapsed_ms": round(elapsed * 1000, 3),
-    }
-    text = [f"n={args.n} value={value} elapsed_ms={payload['elapsed_ms']}"]
-    if args.doubling:
-        value2, elapsed2 = run(2 * args.n)
-        ratio = elapsed2 / elapsed if elapsed > 0 else float("inf")
-        payload["doubled"] = {
-            "n": 2 * args.n,
-            "value": value2,
-            "elapsed_ms": round(elapsed2 * 1000, 3),
-            "ratio": round(ratio, 2),
-        }
-        text.append(
-            f"n={2 * args.n} value={value2} "
-            f"elapsed_ms={payload['doubled']['elapsed_ms']} ratio={payload['doubled']['ratio']}"
-        )
-    return payload, text, 0
-
-
 def _add_input_flags(parser: argparse.ArgumentParser, family_ok: bool = True) -> None:
     parser.add_argument("--in", dest="input", metavar="FILE", help="edge-list file, '-' for stdin")
     if family_ok:
@@ -380,12 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_crosscheck)
-
-    p = sub.add_parser("bench", help="time the linear solvers")
-    p.add_argument("--method", choices=("block", "threshold"), required=True)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--doubling", action="store_true")
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

@@ -10,36 +10,37 @@ leaves and supports, redundant domination after any single removal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .exact import enumerate_connected_graphs, random_block_graph, random_graph, random_threshold_graph, random_tree, solve
-from .families import FamilySpec, formula_value, formula_witness, generate
-from .fast import gamma_sc_block, gamma_sc_threshold, random_split_graph
+# Each grid imports the generators, solvers and builders it runs when it
+# runs, so one grid's request loads only its own modules.
+from .exact import solve
 from .graph import DomainError, Graph
 from .names import DEFAULT_SEED
-from .reductions import check_equivalence
 from .verify import is_dominating, is_scds_definition
 
+# (kind, parameters) of the family members the families grid checks.
 FAMILY_GRID = (
-    [FamilySpec("subdivided_wheel", n) for n in (3, 4, 5)]
-    + [FamilySpec("book", n) for n in (2, 3, 4)]
-    + [FamilySpec("ladder", n) for n in (3, 4, 5, 6)]
+    ("subdivided_wheel", (3, 4, 5)),
+    ("book", (2, 3, 4)),
+    ("ladder", (3, 4, 5, 6)),
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class GridReport:
-    results: list[CheckResult] = field(default_factory=list)
+    """The results of one grid, in the order they were recorded."""
+
+    def __init__(self) -> None:
+        self.results: list[CheckResult] = []
 
     def record(self, name: str, passed: bool, detail: str = "") -> None:
-        self.results.append(CheckResult(name=name, passed=passed, detail=detail))
+        self.results.append(CheckResult(name, passed, detail))
 
     @property
     def all_passed(self) -> bool:
@@ -89,8 +90,10 @@ def _check_scds_instance(report: GridReport, name: str, graph: Graph, fast_repor
 
 
 def families_grid() -> GridReport:
+    from .families import FamilySpec, formula_value, formula_witness, generate
+
     report = GridReport()
-    for spec in FAMILY_GRID:
+    for spec in (FamilySpec(kind, n) for kind, sizes in FAMILY_GRID for n in sizes):
         graph = generate(spec)
         value = formula_value(spec)
         witness = formula_witness(spec)
@@ -118,6 +121,9 @@ def trees_grid(count: int = 50, max_n: int = 12, seed: int = DEFAULT_SEED) -> Gr
     # secure connected value is 1, so the every-vertex identity needs n >= 3.
     if max_n < 3:
         raise DomainError("trees grid needs max_n >= 3")
+    from .exact import random_tree
+    from .fast import gamma_sc_block
+
     report = GridReport()
     for i in range(count):
         n = 3 + (seed + i) % (max_n - 2)
@@ -137,6 +143,9 @@ def trees_grid(count: int = 50, max_n: int = 12, seed: int = DEFAULT_SEED) -> Gr
 def block_grid(count: int = 50, max_n: int = 13, seed: int = DEFAULT_SEED) -> GridReport:
     if max_n < 2:
         raise DomainError("block grid needs max_n >= 2")
+    from .exact import random_block_graph
+    from .fast import gamma_sc_block
+
     report = GridReport()
     for i in range(count):
         n = 2 + (seed + i) % (max_n - 1)
@@ -150,6 +159,10 @@ def block_grid(count: int = 50, max_n: int = 13, seed: int = DEFAULT_SEED) -> Gr
 def threshold_grid(count: int = 50, max_n: int = 13, seed: int = DEFAULT_SEED) -> GridReport:
     if max_n < 1:
         raise DomainError("threshold grid needs max_n >= 1")
+    from .exact import random_threshold_graph
+    from .families import FamilySpec, generate
+    from .fast import gamma_sc_threshold
+
     report = GridReport()
     for i in range(count):
         n = 1 + (seed + i) % max_n
@@ -192,6 +205,10 @@ def reductions_grid(seed: int = DEFAULT_SEED) -> GridReport:
     grid as reported findings (the grid validates the checker, and the
     finding itself lives in the detail string and dedicated tests).
     """
+    from .exact import enumerate_connected_graphs, random_graph
+    from .fast import random_split_graph
+    from .reductions import check_equivalence
+
     report = GridReport()
 
     def run(kind: str, graph: Graph, label: str, partition=None) -> None:

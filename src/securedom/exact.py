@@ -9,14 +9,15 @@ The pruned search (forced vertices, lower bounds, the complete-graph
 shortcut) walks those candidates depth first as Python-int vertex masks,
 carrying the prefix cover and double cover of the chosen members.  A branch
 that cannot dominate even with every remaining vertex is cut, and a
-full-size candidate reaches the variant's checker only if it dominates and,
-for scds and stds sets of two or more, covers every outside vertex twice (see
-``_bitset_search`` for why both filters only drop sets the checker would
-reject).  Every returned witness has passed ``verify.CHECKERS``.  Pruning
-can be disabled for soundness cross-checks: the search then feeds every
-subset straight to the checker.  The complete-graph report is built by
+full-size candidate reaches the variant's checker only if it dominates,
+for cds and scds induces a connected subgraph, and, for scds and stds sets
+of two or more, covers every outside vertex twice (see ``_bitset_search``
+for why these filters only drop sets the checker would reject).  Every
+returned witness has passed ``verify.CHECKERS``.  Pruning can be disabled
+for soundness cross-checks: the search then feeds every subset straight to
+the checker.  The complete-graph report is built by
 ``report.trivial_complete``, which the linear-time solvers and the
-``auto`` dispatch in ``fast`` share.
+``auto`` dispatch ``report.gamma`` share.
 
 Also houses the small-graph isomorphism-class enumerator (a brute-force
 relabeling table over Python ints) and the seeded random generators used as
@@ -57,10 +58,11 @@ def solve(
     graphs, forces leaves and supports into every candidate (n >= 3), and
     starts at max(1 + domination number, forced-set size); the secure-total
     search starts at the total domination number.  The pruned candidates
-    are walked as bitsets in the same order, with a branch cut and two cover
-    filters in front of the checker (``_bitset_search``).  Disabling pruning
-    passes every subset from size 1, in combinations order, straight to the
-    checker, for soundness cross-checks.
+    are walked as bitsets in the same order, with a branch cut, two cover
+    filters and a connectivity filter in front of the checker
+    (``_bitset_search``).  Disabling pruning passes every subset from size
+    1, in combinations order, straight to the checker, for soundness
+    cross-checks.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -130,7 +132,7 @@ def _bitset_search(
     check: Callable[[Graph, frozenset[int]], bool],
 ) -> tuple[frozenset[int] | None, int]:
     """The first candidate, by size from ``lower`` and then in combinations
-    order over the free vertices, that passes the cover filters and ``check``.
+    order over the free vertices, that passes the filters and ``check``.
 
     Vertex sets are Python-int masks.  A candidate is the forced set plus one
     combination of the free vertices, walked depth first in combinations
@@ -144,6 +146,9 @@ def _bitset_search(
       as soon as ``once`` together with the masks of every later free vertex
       misses a vertex, and a full-size candidate is dropped unless ``once``
       is full;
+    - cds and scds sets induce a connected subgraph, so a full-size
+      candidate is dropped unless a search over the members' cover masks,
+      restricted to the members, reaches them all;
     - for scds and stds with |S| >= 2, a full-size candidate is dropped
       unless every outside vertex has two member neighbours (``twice``
       joined with S is full).  A valid swap of u for its defender v needs a
@@ -170,6 +175,7 @@ def _bitset_search(
 
     nodes = 0
     double = False
+    connected = variant in ("cds", "scds")
     chosen: list[int] = []
 
     def extend(first: int, left: int, once: int, twice: int, members: int) -> frozenset[int] | None:
@@ -190,6 +196,8 @@ def _bitset_search(
                 continue
             if double and twice | (once & c) | members | bits[i] != full:
                 continue
+            if connected and not _members_connected(cover, members | bits[i]):
+                continue
             candidate = forced.union(chosen, (free[i],))
             if check(graph, candidate):
                 return candidate
@@ -202,13 +210,31 @@ def _bitset_search(
             found = extend(0, need, base_once, base_twice, base_members)
         elif need == 0:
             nodes += 1
-            covered = base_once == full and (not double or base_twice | base_members == full)
+            covered = (
+                base_once == full
+                and (not double or base_twice | base_members == full)
+                and (not connected or _members_connected(cover, base_members))
+            )
             found = forced if covered and check(graph, forced) else None
         else:
             continue
         if found is not None:
             return found, nodes
     return None, nodes
+
+
+def _members_connected(cover: list[int], members: int) -> bool:
+    """Whether the non-empty vertex mask ``members`` induces a connected
+    subgraph, given each vertex's closed-neighbourhood mask ``cover[v]``:
+    a search from the lowest member that visits each reached member once."""
+    reached = todo = members & -members
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        new = cover[bit.bit_length() - 1] & members & ~reached
+        reached |= new
+        todo |= new
+    return reached == members
 
 
 # -- small-graph enumeration up to isomorphism ----------------------------

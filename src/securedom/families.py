@@ -8,7 +8,7 @@ under the canonical labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import DomainError, Graph, require_edge_count, require_vertex_count
 from .names import FAMILY_KINDS
@@ -40,25 +40,27 @@ _EDGE_COUNT = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _Spec(NamedTuple):
+    kind: str
+    n: int
+
+
+class FamilySpec(_Spec):
     """A family kind plus its size parameter (bounds per kind enforced; the
     member may not exceed ``graph.MAX_VERTICES`` vertices or
     ``graph.MAX_EDGES`` edges)."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.n < _MIN_PARAM[self.kind]:
-            raise DomainError(
-                f"family {self.kind} needs n >= {_MIN_PARAM[self.kind]}, got {self.n}"
-            )
-        what = f"family {self.kind} with n={self.n}"
-        require_vertex_count(_VERTEX_COUNT[self.kind](self.n), what)
-        require_edge_count(_EDGE_COUNT[self.kind](self.n), what)
+    def __new__(cls, kind: str, n: int) -> FamilySpec:
+        if kind not in FAMILY_KINDS:
+            raise DomainError(f"unknown family kind {kind!r}")
+        if n < _MIN_PARAM[kind]:
+            raise DomainError(f"family {kind} needs n >= {_MIN_PARAM[kind]}, got {n}")
+        what = f"family {kind} with n={n}"
+        require_vertex_count(_VERTEX_COUNT[kind](n), what)
+        require_edge_count(_EDGE_COUNT[kind](n), what)
+        return super().__new__(cls, kind, n)
 
 
 def generate(spec: FamilySpec) -> Graph:

@@ -21,7 +21,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .graph import DomainError, Graph, require_vertex_count
-from .names import DEFAULT_MAX_N, METHODS
 from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, trivial_complete
 
 
@@ -472,45 +471,6 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
         elapsed=time.perf_counter() - start,
         nodes_explored=0,
     )
-
-
-# -- dispatch ----------------------------------------------------------------
-
-
-def gamma(
-    graph: Graph, variant: str, method: str = "auto", *, max_n: int | None = DEFAULT_MAX_N
-) -> SolveReport:
-    """Minimum certificate size and witness by the named method.
-
-    ``block`` and ``threshold`` compute scds only.  ``auto`` tries, for scds,
-    the complete-graph shortcut, then the block formula, then the threshold
-    formula, moving on when one raises DomainError (wrong class or
-    disconnected); the exact search takes the rest and reports any refusal.
-    """
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}")
-    # The exact search loads only when a request reaches it.
-    if method == "exact":
-        from .exact import solve
-
-        return solve(graph, variant, max_n=max_n)
-    if method != "auto" and variant != "scds":
-        raise DomainError(f"the {method} formula computes the scds variant only")
-    if method == "block":
-        return gamma_sc_block(graph)
-    if method == "threshold":
-        return gamma_sc_threshold(graph)
-    if variant == "scds" and graph.n >= 1:
-        if graph.is_complete():
-            return trivial_complete(time.perf_counter())
-        for formula in (gamma_sc_block, gamma_sc_threshold):
-            try:
-                return formula(graph)
-            except DomainError:
-                pass
-    from .exact import solve
-
-    return solve(graph, variant, max_n=max_n)
 
 
 # -- misc recognizers and benchmark instances -------------------------------

@@ -2,7 +2,7 @@
 
 ``build_parser`` reads its choices and defaults from here, so ``--help``
 and flag checking load no solver.  The library modules bind their public
-names (``verify.VARIANTS``, ``fast.METHODS``, ``families.FAMILY_KINDS``,
+names (``verify.VARIANTS``, ``report.METHODS``, ``families.FAMILY_KINDS``,
 ``exact.DEFAULT_MAX_N``, ``crosscheck.DEFAULT_SEED``) to these same
 objects, so each literal is written once.
 """

@@ -19,8 +19,7 @@ counterexample is reported with the witnessing threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import DomainError, Graph
 
@@ -43,23 +42,34 @@ _BIPARTITE_KINDS = ("scdm_to_scdb", "stdm_to_stdb")
 _SPLIT_KINDS = ("dm_split_to_scdm_split", "dm_split_to_stdm_split")
 
 
-@dataclass(frozen=True)
-class ReductionArtifact:
-    """A transformed instance: output graph, shifted parameter, and a map
-    from every output vertex to its role in the construction."""
-
+class _Artifact(NamedTuple):
     kind: str
     output_graph: Graph
     input_parameter: int
     output_parameter: int
     provenance: dict[int, str]
 
-    def __post_init__(self) -> None:
-        offset = REDUCTION_KINDS[self.kind][2]
-        if self.output_parameter != self.input_parameter + offset:
-            raise ValueError(f"{self.kind} shifts the parameter by {offset}")
-        if sorted(self.provenance) != list(range(self.output_graph.n)):
+
+class ReductionArtifact(_Artifact):
+    """A transformed instance: output graph, shifted parameter, and a map
+    from every output vertex to its role in the construction."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        output_graph: Graph,
+        input_parameter: int,
+        output_parameter: int,
+        provenance: dict[int, str],
+    ) -> ReductionArtifact:
+        offset = REDUCTION_KINDS[kind][2]
+        if output_parameter != input_parameter + offset:
+            raise ValueError(f"{kind} shifts the parameter by {offset}")
+        if sorted(provenance) != list(range(output_graph.n)):
             raise ValueError("provenance must name every output vertex exactly once")
+        return super().__new__(cls, kind, output_graph, input_parameter, output_parameter, provenance)
 
 
 def reduce_universal(graph: Graph, k: int, kind: str = "dm_to_scdm") -> ReductionArtifact:
@@ -170,8 +180,7 @@ def build(
     raise DomainError(f"unknown reduction kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     t: int
     source_holds: bool
     target_holds: bool
@@ -181,8 +190,7 @@ class SweepRow:
         return self.source_holds == self.target_holds
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Exact optima on both sides plus the full threshold sweep.
 
     For every t in 1..n the instance equivalence demands

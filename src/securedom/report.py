@@ -1,15 +1,21 @@
-"""The record every solver returns, the method names it carries, and the
+"""The record every solver returns, the method names it carries, the
 complete-graph shortcut that the exact search, the linear-time solvers and
-the ``auto`` dispatch share.
+the ``auto`` dispatch share, and ``gamma``, that dispatch.
 
-A leaf module (it imports only the standard library), so the linear-time
-solvers can build reports without loading the exact search.
+A leaf module: it imports only the standard library and ``names`` when
+loaded, so the linear-time solvers build reports without loading the exact
+search, and ``gamma`` loads a solver only when a request reaches it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+from .names import DEFAULT_MAX_N, METHODS
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 METHOD_EXACT = "exact_search"
 METHOD_BLOCK = "block_formula"
@@ -49,3 +55,41 @@ def trivial_complete(start: float) -> SolveReport:
         elapsed=time.perf_counter() - start,
         nodes_explored=0,
     )
+
+
+def gamma(
+    graph: Graph, variant: str, method: str = "auto", *, max_n: int | None = DEFAULT_MAX_N
+) -> SolveReport:
+    """Minimum certificate size and witness by the named method.
+
+    ``block`` and ``threshold`` compute scds only.  ``auto`` tries, for scds,
+    the complete-graph shortcut, then the block formula, then the threshold
+    formula, moving on when one raises DomainError (wrong class or
+    disconnected); the exact search takes the rest and reports any refusal.
+    """
+    if method not in METHODS:
+        from .graph import DomainError
+
+        raise DomainError(f"unknown method {method!r}")
+    if method in ("block", "threshold"):
+        if variant != "scds":
+            from .graph import DomainError
+
+            raise DomainError(f"the {method} formula computes the scds variant only")
+        from .fast import gamma_sc_block, gamma_sc_threshold
+
+        return (gamma_sc_block if method == "block" else gamma_sc_threshold)(graph)
+    if method == "auto" and variant == "scds" and graph.n >= 1:
+        if graph.is_complete():
+            return trivial_complete(time.perf_counter())
+        from .fast import gamma_sc_block, gamma_sc_threshold
+        from .graph import DomainError
+
+        for formula in (gamma_sc_block, gamma_sc_threshold):
+            try:
+                return formula(graph)
+            except DomainError:
+                pass
+    from .exact import solve
+
+    return solve(graph, variant, max_n=max_n)

@@ -59,6 +59,29 @@ def is_dominating(graph: Graph, members: Iterable[int]) -> bool:
     return len(covered) == n
 
 
+def _induces_connected(graph: Graph, s: set[int] | frozenset[int]) -> bool:
+    """Whether the non-empty set S induces a connected subgraph: one
+    depth-first search over a flag per member, cleared as it is reached.
+    A member outside 0..n-1 raises the range error of ``Graph.components``."""
+    n, adj = graph.n, graph.adj
+    inside = bytearray(n)
+    for v in s:
+        if not 0 <= v < n:
+            graph._check_vertex(v)
+        inside[v] = 1
+    root = next(iter(s))
+    inside[root] = 0
+    stack = [root]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if inside[w]:
+                inside[w] = 0
+                reached += 1
+                stack.append(w)
+    return reached == len(s)
+
+
 def is_connected_dominating(graph: Graph, members: Iterable[int]) -> bool:
     """Dominating and inducing a connected subgraph; empty sets never qualify."""
     s = set(members)
@@ -66,7 +89,7 @@ def is_connected_dominating(graph: Graph, members: Iterable[int]) -> bool:
         return False
     if not is_dominating(graph, s):
         return False
-    return graph.components(restrict=s).count == 1
+    return _induces_connected(graph, s)
 
 
 def is_total_dominating(graph: Graph, members: Iterable[int]) -> bool:
@@ -393,7 +416,7 @@ def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | 
     if variant in ("cds", "scds"):
         if not s:
             return "set is empty"
-        if graph.components(restrict=s).count != 1:
+        if not _induces_connected(graph, s):
             return "induced subgraph is disconnected"
     if variant in ("tds", "stds") and not is_total_dominating(graph, s):
         missed = min(

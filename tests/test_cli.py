@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import run_python
 from securedom.cli import main
-from securedom.fast import METHODS
+from securedom.report import METHODS
 from securedom.verify import VARIANTS
 
 P4 = "0 1\n1 2\n2 3\n"
@@ -141,14 +141,6 @@ def test_crosscheck_families_grid(capsys):
     assert "10/10 checks passed" in out
 
 
-def test_bench_reports_timing(capsys):
-    code, out, _ = run(capsys, "--format", "json", "bench", "--method", "threshold", "--n", "2000")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == 2
-    assert payload["elapsed_ms"] >= 0
-
-
 def test_parse_error_exit_code(graph_file, capsys):
     code, _, err = run(capsys, "gamma", "--in", graph_file("0 0\n"))
     assert code == 1
@@ -191,14 +183,11 @@ def test_family_rejects_bad_parameter(capsys):
 
 
 # One step above graph.MAX_VERTICES (1e7) for each size parameter:
-# ladder has 2n vertices, star n + 1, and --doubling also builds 2n.
+# ladder has 2n vertices, star n + 1.
 ABOVE_VERTEX_CAP = [
     ["family", "--kind", "ladder", "--n", "5000001"],
     ["family", "--kind", "complete", "--n", "10000001"],
     ["gamma", "--family", "star", "--n", "10000000"],
-    ["bench", "--method", "block", "--n", "10000001"],
-    ["bench", "--method", "threshold", "--n", "10000001"],
-    ["bench", "--method", "block", "--n", "5000001", "--doubling"],
 ]
 
 
@@ -330,7 +319,7 @@ def test_solver_invariant_failure_is_an_internal_error(graph_file, capsys, monke
     def broken(*args, **kwargs):
         raise RuntimeError("block witness size disagrees with the formula")
 
-    monkeypatch.setattr("securedom.fast.gamma", broken)
+    monkeypatch.setattr("securedom.report.gamma", broken)
     code, _, err = run(capsys, "gamma", "--in", graph_file(BOWTIE))
     assert code == 4
     assert err == "internal error: block witness size disagrees with the formula\n"

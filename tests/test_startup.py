@@ -50,13 +50,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "verify": ["verify", "--in", str(path), "--set", "1,2"],
         "reduce": ["reduce", "--kind", "dm_to_scdm", "--param", "1", "--in", str(path)],
         "family": ["family", "--kind", "ladder", "--n", "4"],
+        "exact": ["gamma", "--method", "exact", "--in", str(path)],
+        "crosscheck": ["crosscheck", "--grid", "trees", "--count", "1"],
+        "equivalence": ["check-equivalence", "--kind", "dm_to_scdm", "--in", str(path)],
     }
     added = {}
     for name, argv in runs.items():
         code, added[name] = _start(argv)
         assert code == 0, name
-        if name not in ("reduce", "family"):
-            assert "dataclasses" not in added[name], name
+        assert "dataclasses" not in added[name], name
     package = {m for m in added["help"] if m.startswith("securedom")}
     assert package == {"securedom", "securedom.cli", "securedom.graph", "securedom.names"}
     assert not added["verify"] & (SOLVERS | BUILDERS)
@@ -71,6 +73,12 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # and a family without --emit-witness checks no witness.
     assert not added["reduce"] & {"securedom.fast", "securedom.exact", "securedom.verify"}
     assert "securedom.verify" not in added["family"]
+    # The dispatch lives in report: the search alone loads no formula.
+    assert not added["exact"] & (BUILDERS | {"securedom.fast"})
+    assert {"securedom.exact", "securedom.verify", "securedom.report"} <= added["exact"]
+    # Each grid loads its own modules; the trees grid needs no builder.
+    assert not added["crosscheck"] & {"securedom.families", "securedom.reductions"}
+    assert not added["equivalence"] & {"securedom.fast", "securedom.families", "securedom.crosscheck"}
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -116,7 +124,7 @@ def test_parser_vocabulary_is_the_library_tables():
     for name in ("gamma", "verify", "recognize", "reduce", "check-equivalence"):
         assert commands[name]["family"].choices is families.FAMILY_KINDS
     assert commands["family"]["kind"].choices is families.FAMILY_KINDS
-    assert commands["gamma"]["method"].choices is fast.METHODS
+    assert commands["gamma"]["method"].choices is report.METHODS
     assert commands["gamma"]["max_n"].default == exact.DEFAULT_MAX_N
     for name in ("reduce", "check-equivalence"):
         assert list(commands[name]["kind"].choices) == sorted(reductions.REDUCTION_KINDS)
@@ -125,13 +133,13 @@ def test_parser_vocabulary_is_the_library_tables():
 
     # The library binds its names to the leaf module's objects.
     assert verify.VARIANTS is names.VARIANTS and exact.VARIANTS is names.VARIANTS
-    assert fast.METHODS is names.METHODS
+    assert report.METHODS is names.METHODS
     assert families.FAMILY_KINDS is names.FAMILY_KINDS
     assert exact.DEFAULT_MAX_N is names.DEFAULT_MAX_N
     assert crosscheck.DEFAULT_SEED is names.DEFAULT_SEED
     assert names.REDUCTION_KIND_NAMES == tuple(sorted(reductions.REDUCTION_KINDS))
     assert names.GRID_NAMES == tuple(crosscheck.GRID_RUNNERS)
-    for fn in (exact.solve, fast.gamma):
+    for fn in (exact.solve, report.gamma):
         assert inspect.signature(fn).parameters["max_n"].default is names.DEFAULT_MAX_N
     for runner in (crosscheck.trees_grid, crosscheck.reductions_grid):
         assert inspect.signature(runner).parameters["seed"].default is names.DEFAULT_SEED
@@ -181,3 +189,58 @@ def test_solve_path_records_keep_their_repr_hash_and_immutability():
     # The documented change: a record is a tuple of its fields.
     n, adj, m = g
     assert g == (n, adj, m)
+
+
+# Texts recorded from the dataclass versions of the builder records.
+BAD_SPECS = [
+    (("nope", 3), "unknown family kind 'nope'"),
+    (("ladder", 2), "family ladder needs n >= 3, got 2"),
+    (("star", 1), "family star needs n >= 2, got 1"),
+    (("ladder", 5000001), "family ladder with n=5000001 would have 10000002 vertices; the cap is 10000000"),
+    (("complete", 10000), "family complete with n=10000 would have 49995000 edges; the cap is 20000000"),
+]
+
+
+def test_builder_records_keep_their_validation_repr_and_hash():
+    for args, text in BAD_SPECS:
+        with pytest.raises(graph.DomainError) as caught:
+            families.FamilySpec(*args)
+        assert str(caught.value) == text
+    edge = graph.Graph.from_edges(2, [(0, 1)])
+    bad_artifacts = [
+        (("dm_to_scdm", edge, 1, 1, {0: "v0", 1: "x"}), ValueError, "dm_to_scdm shifts the parameter by 1"),
+        (("scdm_to_scdb", edge, 1, 2, {0: "a", 1: "b"}), ValueError, "scdm_to_scdb shifts the parameter by 2"),
+        (("dm_to_scdm", edge, 1, 2, {0: "v0"}), ValueError, "provenance must name every output vertex exactly once"),
+        (("nope", edge, 1, 2, {}), KeyError, "'nope'"),
+    ]
+    for args, error, text in bad_artifacts:
+        with pytest.raises(error) as caught:
+            reductions.ReductionArtifact(*args)
+        assert str(caught.value) == text
+
+    spec = families.FamilySpec("book", 3)
+    assert repr(spec) == "FamilySpec(kind='book', n=3)"
+    assert spec == families.FamilySpec(kind="book", n=3) and hash(spec) == hash(families.FamilySpec("book", 3))
+    artifact = reductions.ReductionArtifact("dm_to_scdm", edge, 1, 2, {0: "v0", 1: "x"})
+    assert repr(artifact) == (
+        "ReductionArtifact(kind='dm_to_scdm', output_graph=Graph(n=2, adj=((1,), (0,)), m=1), "
+        "input_parameter=1, output_parameter=2, provenance={0: 'v0', 1: 'x'})"
+    )
+    report = reductions.check_equivalence("dm_to_scdm", edge)
+    assert repr(report.rows) == (
+        "(SweepRow(t=1, source_holds=True, target_holds=True), "
+        "SweepRow(t=2, source_holds=True, target_holds=True))"
+    )
+    assert (report.all_match, report.first_mismatch) == (True, None)
+    assert reductions.SweepRow(3, True, False).match is False
+    assert repr(crosscheck.CheckResult("x", True)) == "CheckResult(name='x', passed=True, detail='')"
+    grid = crosscheck.GridReport()
+    grid.record("a", True)
+    grid.record("b", False, "why")
+    assert (grid.all_passed, grid.failures) == (False, [crosscheck.CheckResult("b", False, "why")])
+
+    for record in (spec, artifact, report, report.rows[0], grid.results[0]):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
