@@ -225,8 +225,9 @@ def _bitset_search(
 
 def _members_connected(cover: list[int], members: int) -> bool:
     """Whether the non-empty vertex mask ``members`` induces a connected
-    subgraph, given each vertex's closed-neighbourhood mask ``cover[v]``:
-    a search from the lowest member that visits each reached member once."""
+    subgraph, given each vertex's neighbourhood mask ``cover[v]`` (open or
+    closed): a search from the lowest member that visits each reached
+    member once."""
     reached = todo = members & -members
     while todo:
         bit = todo & -todo
@@ -293,27 +294,12 @@ def canonical_form(graph: Graph) -> tuple[int, int]:
 
 
 def _mask_connected(n: int, mask: int, slots: tuple[tuple[int, int], ...]) -> bool:
-    if n == 1:
-        return True
     nbr = [0] * n
     for i, (u, v) in enumerate(slots):
         if mask >> i & 1:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        v = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= nbr[v]
-            f >>= 1
-            v += 1
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+    return _members_connected(nbr, (1 << n) - 1)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
 """Linear-time secure-connected-domination solvers for block graphs and
 threshold graphs, with the supporting recognizers.
 
-Block graphs are handled through a lowpoint (DFS) block decomposition and a
-counting formula over blocks and cut vertices.  Threshold graphs are
+Block graphs are handled through a block decomposition and a counting
+formula over blocks and cut vertices; the decomposition and the block-graph
+test run ``graph.lowpoint_walk``, the one lowpoint DFS of the package, which
+the scds checker in ``verify`` runs on G[S].  Threshold graphs are
 recognized by degree peeling: repeatedly remove a vertex that is isolated or
 universal in the remaining graph.  Because removing an isolated vertex
 changes no remaining degree and removing a universal vertex lowers every
@@ -20,7 +22,7 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple
 
-from .graph import DomainError, Graph, require_vertex_count
+from .graph import DomainError, Graph, lowpoint_walk
 from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, trivial_complete
 
 
@@ -81,74 +83,16 @@ class ThresholdRejection(NamedTuple):
     remaining: int = 0
 
 
-def _lowpoint_walk(
-    graph: Graph, blocks: list[frozenset[int]] | None = None, heads: list[int] | None = None
-) -> bool:
-    """One iterative lowpoint DFS (Hopcroft-Tarjan) over a connected graph;
-    returns whether every block is a clique.
-
-    Neighbors are explored in ascending order from vertex 0, and every
-    discovered vertex is pushed on a vertex stack.  A block closes at a tree
-    edge (p, v) with low[v] >= disc[p]: it holds p plus the stack above v.
-    Blocks partition the edges and a block on k vertices holds at most
-    k(k-1)/2 of them, so every block is a clique iff those bounds sum to m.
-    Given the two lists, each block's vertex set is appended to ``blocks``
-    and its p to ``heads``.
-    """
-    n = graph.n
-    if n == 0:
-        raise DomainError("block decomposition requires a connected graph")
-    adj = graph.adj
-    disc = [0] * n
-    low = [0] * n
-    disc[0] = low[0] = 1
-    timer = 2
-    pairs = 0
-    found: list[int] = []
-    # The DFS path, each vertex's neighbor iterator, and each path vertex's
-    # place on the vertex stack.  The edge back to the parent may lower
-    # low[v] to disc[p] but never below it, so the test above is unchanged.
-    path = [0]
-    iters = [iter(adj[0])]
-    marks = [0]
-    while path:
-        v = path[-1]
-        lv = low[v]
-        for w in iters[-1]:
-            dw = disc[w]
-            if dw == 0:
-                low[v] = lv
-                marks.append(len(found))
-                found.append(w)
-                disc[w] = low[w] = timer
-                timer += 1
-                path.append(w)
-                iters.append(iter(adj[w]))
-                break
-            if dw < lv:
-                lv = dw
-        else:
-            path.pop()
-            iters.pop()
-            mark = marks.pop()
-            if not path:
-                break
-            pv = path[-1]
-            if lv < low[pv]:
-                low[pv] = lv
-            if lv >= disc[pv]:
-                k = len(found) - mark + 1
-                pairs += k * (k - 1) // 2
-                if blocks is not None:
-                    found.append(pv)
-                    blocks.append(frozenset(found[mark:]))
-                    heads.append(pv)
-                del found[mark:]
-    if timer - 1 != n:
-        raise DomainError("block decomposition requires a connected graph")
-    if found:
-        raise RuntimeError("block decomposition left an unclosed block")
-    return pairs == graph.m
+def _walk_whole(graph: Graph, blocks: list[int] | None = None) -> tuple[list[int], int]:
+    """The lowpoint walk of the whole graph from vertex 0: its preorder
+    numbers and block pair sum (see ``graph.lowpoint_walk``).  Refuses
+    exactly the empty and the disconnected graphs."""
+    disc = [0] * graph.n
+    if graph.n:
+        reached, pairs = lowpoint_walk(graph.adj, disc, 0, blocks)
+        if reached == graph.n:
+            return disc, pairs
+    raise DomainError("block decomposition requires a connected graph")
 
 
 def block_decompose(graph: Graph) -> BlockDecomposition:
@@ -158,15 +102,34 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
     connected graph.  The vertex p a block closes at is a cut vertex, unless
     it is the DFS root 0 and closes only one block.
     """
-    if graph.n == 1:
+    n = graph.n
+    if n == 1:
         return BlockDecomposition(blocks=(frozenset({0}),), cut_vertices=frozenset(), cliques=True)
+    records: list[int] = []
+    disc, pairs = _walk_whole(graph, records)
+    heads = records[0::3]
+    # A block holds its head and the vertices of its interval that no block
+    # closed inside it took.  Those blocks took whole intervals, which
+    # ``skip`` jumps; ``order`` maps preorder numbers back to vertices.
+    order = [0] * (n + 1)
+    for v, d in enumerate(disc):
+        order[d] = v
+    skip = [0] * (n + 1)
     blocks: list[frozenset[int]] = []
-    heads: list[int] = []
-    cliques = _lowpoint_walk(graph, blocks, heads)
+    for p, lo, hi in zip(heads, records[1::3], records[2::3]):
+        block = [p]
+        i = lo
+        while i < hi:
+            if skip[i]:
+                i = skip[i]
+            else:
+                block.append(order[i])
+                i += 1
+        skip[lo] = hi
+        blocks.append(frozenset(block))
     cut = set(heads)
     if heads.count(0) == 1:
         cut.discard(0)
-    n = graph.n
 
     # Two blocks share at most one vertex, so the two smallest vertices of a
     # block already fix its place in the order of sorted vertex lists, and
@@ -176,14 +139,16 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
         return lowest[0] * n + lowest[1]
 
     blocks.sort(key=two_smallest)
-    return BlockDecomposition(blocks=tuple(blocks), cut_vertices=frozenset(cut), cliques=cliques)
+    return BlockDecomposition(
+        blocks=tuple(blocks), cut_vertices=frozenset(cut), cliques=pairs == graph.m
+    )
 
 
 def is_block_graph(graph: Graph) -> bool:
     """True iff the (connected) graph's blocks all induce cliques.
 
     Runs the lowpoint walk alone, without collecting the blocks."""
-    return _lowpoint_walk(graph)
+    return _walk_whole(graph)[1] == graph.m
 
 
 def gamma_sc_block(graph: Graph) -> SolveReport:
@@ -270,10 +235,10 @@ def _find_split_obstruction(graph: Graph) -> tuple[str, tuple[int, ...]] | None:
             for u, v in edges:
                 degs[u] += 1
                 degs[v] += 1
+            # Five vertices of degree 2 on five edges form a 2-regular
+            # graph, and the only one on five vertices is C5.
             if all(d == 2 for d in degs.values()):
-                sub = Graph.from_edges(graph.n, edges)
-                if sub.components(restrict=quint).count == 1:
-                    return "C5", quint
+                return "C5", quint
     return None
 
 
@@ -416,6 +381,15 @@ def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool
     return True
 
 
+def _threshold_connected(graph: Graph, ordering: ThresholdOrdering) -> bool:
+    """Whether the threshold graph is connected: n = 1, or the last
+    clique-order vertex is universal.  On two or more vertices a threshold
+    graph is connected iff some vertex is universal, and the closed
+    neighbourhood of the last clique-order vertex contains every other."""
+    xs = ordering.clique_order
+    return graph.n == 1 or (bool(xs) and len(graph.adj[xs[-1]]) == graph.n - 1)
+
+
 def _is_star(graph: Graph) -> bool:
     if graph.n < 3 or graph.m != graph.n - 1:
         return False
@@ -435,7 +409,7 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     ordering = recognize_threshold(graph)
     if isinstance(ordering, ThresholdRejection):
         raise DomainError(f"not a threshold graph: {ordering.reason}")
-    if not graph.is_connected():
+    if not _threshold_connected(graph, ordering):
         raise DomainError("threshold solver requires a connected graph")
     if graph.is_complete():
         return trivial_complete(start)
@@ -473,7 +447,7 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     )
 
 
-# -- misc recognizers and benchmark instances -------------------------------
+# -- misc recognizers ------------------------------------------------------
 
 
 def is_bipartite(graph: Graph) -> bool:
@@ -518,7 +492,7 @@ def recognize_classes(graph: Graph) -> tuple[dict[str, bool], SplitRejection | N
     rejection = None
     if threshold:
         xs = ordering.clique_order
-        connected = n == 1 or (bool(xs) and len(adj[xs[-1]]) == n - 1)
+        connected = _threshold_connected(graph, ordering)
         block_graph = False
         if connected:
             pendants = list(map(len, adj)).count(1)
@@ -551,31 +525,3 @@ def recognize_classes(graph: Graph) -> tuple[dict[str, bool], SplitRejection | N
         "bipartite": bipartite,
     }
     return classes, rejection
-
-
-def bench_block_graph(n: int) -> Graph:
-    """Chain of K4 blocks glued at shared cut vertices, padded with a path
-    tail so the instance hits the requested vertex count exactly."""
-    if n < 2:
-        raise DomainError("bench instance needs n >= 2")
-    require_vertex_count(n, "bench instance")
-    edges: list[tuple[int, int]] = []
-    v = 0
-    while n - 1 - v >= 3:
-        edges.extend(combinations(range(v, v + 4), 2))
-        v += 3
-    while v < n - 1:
-        edges.append((v, v + 1))
-        v += 1
-    return Graph.from_edges(n, edges)
-
-
-def bench_threshold_graph(n: int) -> Graph:
-    """Sparse connected threshold graph: n-2 independents under two universal
-    vertices, so the edge count stays linear in n."""
-    if n < 4:
-        raise DomainError("bench instance needs n >= 4")
-    require_vertex_count(n, "bench instance")
-    edges = [(u, n - 2) for u in range(n - 2)]
-    edges += [(u, n - 1) for u in range(n - 1)]
-    return Graph.from_edges(n, edges)

@@ -181,6 +181,76 @@ class Graph(NamedTuple):
             raise DomainError(f"vertex {v} outside range 0..{self.n - 1}")
 
 
+def lowpoint_walk(
+    adj: tuple[tuple[int, ...], ...], disc: list[int], root: int, blocks: list[int] | None = None
+) -> tuple[int, int]:
+    """One iterative lowpoint DFS (Hopcroft and Tarjan, CACM 16(6), 1973)
+    from ``root``; returns the number of vertices reached and the sum of
+    k(k-1)/2 over the blocks it closes, k being a block's vertex count.
+
+    ``disc`` holds 0 for every vertex the walk may enter and, on return,
+    the preorder number (from 1) of every vertex reached.  A vertex whose
+    entry exceeds every preorder number (n + 1 will do) is never entered
+    and never lowers a lowpoint, so the walk covers the subgraph induced
+    by the zero entries without a membership test.
+
+    Neighbours are explored in ascending order.  A block closes at a tree
+    edge (p, c) with low[c] >= disc[p]: it holds p and the vertices
+    entered since c that no earlier block took, and c's subtree holds the
+    preorder numbers [disc[c], t), t being the next number once c is done.
+    Given a list, each block appends p, disc[c] and t to ``blocks``.
+    Blocks partition the edges and a block on k vertices holds at most
+    k(k-1)/2 of them, so every block is a clique iff the sum equals the
+    edge count.
+    """
+    low = [0] * len(adj)
+    disc[root] = low[root] = 1
+    timer = 2
+    pairs = 0
+    # Vertices entered and not yet in a closed block.  The DFS path keeps
+    # each vertex's neighbour iterator and the open count when it was
+    # entered.  The edge back to the parent may lower low[v] to disc[p]
+    # but never below it, so the test above is unchanged.
+    open_count = 0
+    path = [root]
+    iters = [iter(adj[root])]
+    marks = [0]
+    while path:
+        v = path[-1]
+        lv = low[v]
+        for w in iters[-1]:
+            dw = disc[w]
+            if dw == 0:
+                low[v] = lv
+                marks.append(open_count)
+                open_count += 1
+                disc[w] = low[w] = timer
+                timer += 1
+                path.append(w)
+                iters.append(iter(adj[w]))
+                break
+            if dw < lv:
+                lv = dw
+        else:
+            path.pop()
+            iters.pop()
+            mark = marks.pop()
+            if not path:
+                break
+            pv = path[-1]
+            if lv < low[pv]:
+                low[pv] = lv
+            if lv >= disc[pv]:
+                k = open_count - mark
+                pairs += k * (k + 1) // 2
+                open_count = mark
+                if blocks is not None:
+                    blocks += (pv, disc[v], timer)
+    if open_count:
+        raise RuntimeError("lowpoint walk left an unclosed block")
+    return timer - 1, pairs
+
+
 def _build(n: int, edges: list[tuple[int, int]], distinct: int) -> Graph:
     """Graph on 0..n-1 from checked (min, max) edges, ``distinct`` of them
     different: per-vertex buckets, deduplicated only when that count shows

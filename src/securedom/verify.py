@@ -13,8 +13,9 @@ its closed neighbourhood is v lies in N[u]; it keeps S totally dominating
 iff every vertex whose only member neighbour is v lies in N(u); it keeps S
 connected dominating iff the first rule holds and u touches every component
 of G[S - v], read from one lowpoint DFS of G[S] (Hopcroft and Tarjan, CACM
-16(6), 1973).  ``is_scds_characterization`` is another name for the fast
-``is_scds``.
+16(6), 1973): ``graph.lowpoint_walk``, the walk that block recognition and
+block decomposition in ``fast`` run on the whole graph.
+``is_scds_characterization`` is another name for the fast ``is_scds``.
 
 The literal swap loop ``_swap_check`` and its wrappers ``is_scds_definition``
 and ``is_stds`` rebuild S for every pair and re-run the whole-graph check;
@@ -29,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterable, NamedTuple
 
-from .graph import DomainError, Graph
+from .graph import DomainError, Graph, lowpoint_walk
 from .names import VARIANTS
 
 
@@ -177,65 +178,33 @@ def _private_neighbours(
     return private
 
 
-class _Lowpoints:
-    """Iterative lowpoint DFS (Hopcroft-Tarjan) of the connected subgraph
-    induced by a member set, kept in flat int lists.
+class _Cuts:
+    """Where G[S - v] falls apart, for the connected G[S] of |S| >= 2, read
+    from one ``graph.lowpoint_walk`` of G[S] rooted at min(S).
 
-    ``disc`` is the preorder number, so the subtree of c holds exactly the
-    preorder numbers in [disc[c], disc[c] + size[c]).  A child c of v is
-    separating when low[c] >= disc[v]; each separating subtree is a component
-    of G[S - v], and the rest of S - v, when nonempty, is one more.
-    ``parts[v]`` counts those components; it is 1 unless v is a cut vertex.
+    Each block the walk closes at a member v names a separating subtree of
+    v by its preorder interval [lo, hi); those subtrees are components of
+    G[S - v], and the rest of S - v, non-empty unless v is the root, is one
+    more.  ``parts[v]`` counts those components; it is 1 unless v is a cut
+    vertex.
     """
 
-    def __init__(
-        self, adj: tuple[tuple[int, ...], ...], inside: bytearray, members: set[int] | frozenset[int]
-    ) -> None:
+    def __init__(self, adj: tuple[tuple[int, ...], ...], members: set[int] | frozenset[int]) -> None:
         n = len(adj)
-        disc = [-1] * n
-        low = [0] * n
-        size = [1] * n
-        parent = [-1] * n
-        split = [0] * n  # separating children
-        below = [0] * n  # members inside separating subtrees
-        pos = [0] * n
+        disc = [n + 1] * n
+        for v in members:
+            disc[v] = 0
         root = min(members)
-        disc[root] = 0
-        counter = 1
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            nbrs = adj[v]
-            k = len(nbrs)
-            i = pos[v]
-            while i < k:
-                x = nbrs[i]
-                i += 1
-                if not inside[x]:
-                    continue
-                if disc[x] < 0:
-                    disc[x] = low[x] = counter
-                    counter += 1
-                    parent[x] = v
-                    stack.append(x)
-                    break
-                if disc[x] < low[v]:
-                    low[v] = disc[x]
-            else:
-                stack.pop()
-                p = parent[v]
-                if p >= 0:
-                    size[p] += size[v]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= disc[p]:
-                        split[p] += 1
-                        below[p] += size[v]
-            pos[v] = i
-        rest = len(members) - 1
-        self.adj = adj
-        self.disc, self.low, self.size, self.parent = disc, low, size, parent
-        self.parts = [c + (rest > b) for c, b in zip(split, below)]
+        records: list[int] = []
+        lowpoint_walk(adj, disc, root, records)
+        parts = [1] * n
+        parts[root] = 0
+        # end[lo] = hi for each interval; 0 elsewhere, non-members' n + 1 too
+        end = [0] * (n + 2)
+        for i in range(0, len(records), 3):
+            parts[records[i]] += 1
+            end[records[i + 1]] = records[i + 2]
+        self.adj, self.disc, self.end, self.parts = adj, disc, end, parts
         self._bounds: dict[int, list[int]] = {}
 
     def touches_all(self, v: int, members: list[int]) -> bool:
@@ -243,9 +212,12 @@ class _Lowpoints:
         among them) meet every component of G[S - v].
 
         Each member other than v is placed by bisecting its preorder number
-        into the flat bounds [start0, end0, start1, end1, ...] of v's
-        separating subtrees: an odd insertion point names one of them, an
-        even one means the rest of S - v.
+        into the flat bounds [lo0, hi0, lo1, hi1, ...] of v's separating
+        subtrees: an odd insertion point names one of them, an even one
+        means the rest of S - v.  The subtrees' roots are the neighbours of
+        v numbered after v that start an interval: any other neighbour
+        numbered after v meets v by a back edge, so its lowpoint is below
+        its parent's number and no block closes at it.
         """
         parts = self.parts[v]
         if len(members) <= parts:
@@ -253,13 +225,10 @@ class _Lowpoints:
         disc = self.disc
         bounds = self._bounds.get(v)
         if bounds is None:
-            low, size, parent = self.low, self.size, self.parent
+            end, dv = self.end, disc[v]
             bounds = []
-            for c in sorted(
-                (c for c in self.adj[v] if parent[c] == v and low[c] >= disc[v]),
-                key=disc.__getitem__,
-            ):
-                bounds += (disc[c], disc[c] + size[c])
+            for lo in sorted(disc[c] for c in self.adj[v] if dv < disc[c] and end[disc[c]]):
+                bounds += (lo, end[lo])
             self._bounds[v] = bounds
         touched = set()
         for x in members:
@@ -293,7 +262,7 @@ def _first_undefended(graph: Graph, variant: str, s: set[int] | frozenset[int]) 
     # member other than v.  Non-cut defenders leave S - v connected and need
     # nothing more, so they are tried before the cut vertices of G[S].
     connected = variant == "scds" and len(s) > 1
-    tree = None
+    cuts = None
     for u in range(n):
         if inside[u]:
             continue
@@ -320,10 +289,10 @@ def _first_undefended(graph: Graph, variant: str, s: set[int] | frozenset[int]) 
             return u
         if not connected:
             continue
-        if tree is None:
-            tree = _Lowpoints(adj, inside, s)
-        parts = tree.parts
-        if any(parts[v] == 1 for v in defenders) or any(tree.touches_all(v, members) for v in defenders):
+        if cuts is None:
+            cuts = _Cuts(adj, s)
+        parts = cuts.parts
+        if any(parts[v] == 1 for v in defenders) or any(cuts.touches_all(v, members) for v in defenders):
             continue
         return u
     return None

@@ -49,3 +49,25 @@ def bowtie_graph() -> Graph:
 def fig_five_vertex_graph() -> Graph:
     # 5 vertices, 7 edges; vertex 2 is adjacent to everything else
     return Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+def bench_block_graph(n: int) -> Graph:
+    """Chain of K4 blocks glued at shared cut vertices, padded with a path
+    tail so the instance has exactly n >= 2 vertices."""
+    edges: list[tuple[int, int]] = []
+    v = 0
+    while n - 1 - v >= 3:
+        edges.extend(combinations(range(v, v + 4), 2))
+        v += 3
+    while v < n - 1:
+        edges.append((v, v + 1))
+        v += 1
+    return Graph.from_edges(n, edges)
+
+
+def bench_threshold_graph(n: int) -> Graph:
+    """Sparse connected threshold graph on n >= 4 vertices: n-2 independents
+    under two universal vertices, so the edge count stays linear in n."""
+    edges = [(u, n - 2) for u in range(n - 2)]
+    edges += [(u, n - 1) for u in range(n - 1)]
+    return Graph.from_edges(n, edges)

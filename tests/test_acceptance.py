@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import path_graph, star_graph
+from conftest import bench_block_graph, bench_threshold_graph, path_graph, star_graph
 from securedom import (
     check_equivalence,
     enumerate_connected_graphs,
@@ -36,7 +36,6 @@ from securedom.crosscheck import (
     trees_grid,
 )
 from securedom.families import FamilySpec, formula_value, formula_witness, generate
-from securedom.fast import bench_block_graph, bench_threshold_graph
 from securedom.verify import check_variant
 
 # The closed-form secure-connected values for the acceptance grid.  The

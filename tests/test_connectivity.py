@@ -1,13 +1,17 @@
 """The connectivity tests of the exact search and the checkers against the
 component labeling they replaced, on one graph per isomorphism class with
-n <= 6, connected or not."""
+n <= 6, connected or not, and the cut data of the lowpoint walk on seeded
+graphs beyond that range."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from securedom import DomainError, Graph, exact, solve, verify
-from securedom.exact import random_graph
+from securedom.exact import random_block_graph, random_graph
+from securedom.graph import lowpoint_walk
 from securedom.families import FamilySpec, generate
 from securedom.verify import VARIANTS
 
@@ -155,3 +159,50 @@ def test_the_checker_sees_only_connected_candidates(monkeypatch):
     report = solve(generate(FamilySpec("ladder", 9)), "scds")
     assert report.nodes_explored == 103_830
     assert [s for _, s in checked] == [report.witness]
+
+
+def _seeded_member_sets():
+    """Seeded block and G(n, p) graphs with n = 7..40, each with random
+    member sets (mostly disconnected) and sets grown along edges (connected)."""
+    rng = random.Random(12)
+    for n in range(7, 41):
+        seed = rng.randrange(10**6)
+        for g in (random_block_graph(n, seed), random_graph(n, rng.choice((0.1, 0.2, 0.4)), seed)):
+            yield g, frozenset(range(n))
+            for _ in range(3):
+                yield g, frozenset(rng.sample(range(n), rng.randint(1, n)))
+                grown = {rng.randrange(n)}
+                for _ in range(rng.randint(1, n)):
+                    grown.add(rng.choice(g.adj[rng.choice(sorted(grown))]))
+                yield g, frozenset(grown)
+
+
+def test_walk_reaches_exactly_the_connected_member_sets():
+    connected = disconnected = 0
+    for g, s in _seeded_member_sets():
+        disc = [g.n + 1] * g.n
+        for v in s:
+            disc[v] = 0
+        reached, _ = lowpoint_walk(g.adj, disc, min(s))
+        whole = g.components(restrict=s).count == 1
+        assert (reached == len(s)) == whole, (g.edges(), sorted(s))
+        connected += whole
+        disconnected += not whole
+    assert connected > 100 and disconnected > 100
+
+
+def test_cut_data_matches_component_labeling_after_each_deletion():
+    for g, s in _seeded_member_sets():
+        if len(s) < 2 or g.components(restrict=s).count != 1:
+            continue
+        cuts = verify._Cuts(g.adj, s)
+        for v in s:
+            labeling = g.components(restrict=s - {v})
+            assert cuts.parts[v] == labeling.count, (g.edges(), sorted(s), v)
+            # every outside vertex next to v touches all of G[S - v] exactly
+            # when its other member neighbours meet every component
+            for u in g.adj[v]:
+                if u not in s:
+                    members = [x for x in g.adj[u] if x in s]
+                    met = {labeling.labels[x] for x in members if x != v}
+                    assert cuts.touches_all(v, members) == (len(met) == labeling.count)

@@ -2,12 +2,21 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
+from itertools import combinations
 
 import pytest
 
 import securedom.fast as fast
 
-from conftest import bowtie_graph, complete_graph, cycle_graph, path_graph, star_graph
+from conftest import (
+    bench_block_graph,
+    bench_threshold_graph,
+    bowtie_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from securedom import (
     DomainError,
     Graph,
@@ -30,7 +39,7 @@ from securedom import (
     solve,
 )
 from securedom.cli import main
-from securedom.fast import bench_block_graph, bench_threshold_graph, validate_partition
+from securedom.fast import validate_partition
 from securedom.report import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL
 from securedom.verify import is_scds_definition
 
@@ -295,6 +304,29 @@ def test_threshold_solver_witnesses_verify():
 def test_threshold_solver_rejects_non_threshold():
     with pytest.raises(DomainError, match="not a threshold graph"):
         gamma_sc_threshold(path_graph(4))
+
+
+def test_threshold_solver_rejects_disconnected_threshold_graphs():
+    triangle_and_isolated = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    star_and_isolated = Graph.from_edges(5, star_graph(3).edges())
+    for g in (triangle_and_isolated, star_and_isolated):
+        assert not isinstance(recognize_threshold(g), ThresholdRejection)
+        with pytest.raises(DomainError, match="threshold solver requires a connected graph"):
+            gamma_sc_threshold(g)
+
+
+def test_threshold_connectivity_rule_matches_a_search_on_every_labeled_graph():
+    checked = 0
+    for n in range(1, 7):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+            ordering = recognize_threshold(g)
+            if not isinstance(ordering, ThresholdRejection):
+                assert fast._threshold_connected(g, ordering) == g.is_connected(), g.edges()
+                checked += 1
+    # OEIS A005840: labeled threshold graphs on 1..6 vertices
+    assert checked == 1 + 2 + 8 + 46 + 332 + 2874
 
 
 def test_block_solver_matches_oracle_on_random_instances():
