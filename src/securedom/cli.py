@@ -71,6 +71,16 @@ def _graph_field(graph: Graph) -> dict:
     return {"n": graph.n, "m": graph.m}
 
 
+def _rejected(witness: frozenset[int]) -> str:
+    """Name a witness that failed re-verification by its size and the sha256
+    of its printed set, since it can have 1e5 vertices."""
+    import hashlib
+
+    digest = hashlib.sha256(format_vertex_set(witness).encode("ascii")).hexdigest()
+    noun = "vertex" if len(witness) == 1 else "vertices"
+    return f"(witness of {len(witness)} {noun}, sha256 {digest})"
+
+
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .report import gamma
     from .verify import check_variant
@@ -78,7 +88,9 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     graph = _load_graph(args)
     report = gamma(graph, args.variant, args.method, max_n=args.max_n)
     if not check_variant(graph, args.variant, report.witness):
-        raise RuntimeError(f"{report.method} witness failed {args.variant} re-verification")
+        raise RuntimeError(
+            f"{report.method} witness failed {args.variant} re-verification {_rejected(report.witness)}"
+        )
     payload = {
         "command": "gamma",
         "variant": args.variant,
@@ -165,7 +177,9 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
         witness = formula_witness(spec)
         if not check_variant(graph, "scds", witness):
-            raise RuntimeError(f"{args.kind} formula witness failed scds re-verification")
+            raise RuntimeError(
+                f"{args.kind} formula witness failed scds re-verification {_rejected(witness)}"
+            )
         payload["witness"] = format_vertex_set(witness)
         payload["value"] = formula_value(spec)
     text = []

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 # Each grid imports the generators, solvers and builders it runs when it
 # runs, so one grid's request loads only its own modules.
-from .exact import solve
+from .exact import refuse_oversized, solve
 from .graph import DomainError, Graph
 from .names import DEFAULT_SEED
 from .verify import is_dominating, is_scds_definition
@@ -127,6 +127,7 @@ def trees_grid(count: int = 50, max_n: int = 12, seed: int = DEFAULT_SEED) -> Gr
     report = GridReport()
     for i in range(count):
         n = 3 + (seed + i) % (max_n - 2)
+        refuse_oversized(n)  # before the instance is built
         graph = random_tree(n, seed + i)
         exact = solve(graph, "scds")
         fast = gamma_sc_block(graph)
@@ -149,6 +150,7 @@ def block_grid(count: int = 50, max_n: int = 13, seed: int = DEFAULT_SEED) -> Gr
     report = GridReport()
     for i in range(count):
         n = 2 + (seed + i) % (max_n - 1)
+        refuse_oversized(n)  # before the instance is built
         graph = random_block_graph(n, seed + i)
         _check_scds_instance(
             report, f"block seed={seed + i} n={n}", graph, gamma_sc_block(graph)
@@ -166,6 +168,7 @@ def threshold_grid(count: int = 50, max_n: int = 13, seed: int = DEFAULT_SEED) -
     report = GridReport()
     for i in range(count):
         n = 1 + (seed + i) % max_n
+        refuse_oversized(n)  # before the instance is built
         graph = random_threshold_graph(n, seed + i)
         _check_scds_instance(
             report, f"threshold seed={seed + i} n={n}", graph, gamma_sc_threshold(graph)

@@ -8,11 +8,13 @@ are bit-stable across runs.
 The pruned search (forced vertices, lower bounds, the complete-graph
 shortcut) walks those candidates depth first as Python-int vertex masks,
 carrying the prefix cover and double cover of the chosen members.  A branch
-that cannot dominate even with every remaining vertex is cut, and a
-full-size candidate reaches the variant's checker only if it dominates,
-for cds and scds induces a connected subgraph, and, for scds and stds sets
-of two or more, covers every outside vertex twice (see ``_bitset_search``
-for why these filters only drop sets the checker would reject).  Every
+that cannot dominate even with every remaining vertex is cut, and so, for
+scds and stds sets of two or more, is a branch that cannot give every
+outside vertex two member neighbours.  A full-size candidate reaches the
+variant's checker only if it dominates, for cds and scds induces a
+connected subgraph, and, for scds and stds sets of two or more, covers
+every outside vertex twice (see ``_bitset_search`` for why these cuts and
+filters only drop sets the checker would reject).  Every
 returned witness has passed ``verify.CHECKERS``.  Pruning can be disabled
 for soundness cross-checks: the search then feeds every subset straight to
 the checker.  The complete-graph report is built by
@@ -58,8 +60,8 @@ def solve(
     graphs, forces leaves and supports into every candidate (n >= 3), and
     starts at max(1 + domination number, forced-set size); the secure-total
     search starts at the total domination number.  The pruned candidates
-    are walked as bitsets in the same order, with a branch cut, two cover
-    filters and a connectivity filter in front of the checker
+    are walked as bitsets in the same order, with two branch cuts, two
+    cover filters and a connectivity filter in front of the checker
     (``_bitset_search``).  Disabling pruning passes every subset from size
     1, in combinations order, straight to the checker, for soundness
     cross-checks.
@@ -68,10 +70,7 @@ def solve(
         raise DomainError(f"unknown variant {variant!r}")
     if graph.n < 1:
         raise DomainError("graph must have at least one vertex")
-    if max_n is not None and graph.n > max_n:
-        raise DomainError(
-            f"exact search refused for n={graph.n} > {max_n}; raise max_n to override"
-        )
+    refuse_oversized(graph.n, max_n)
     if variant in ("cds", "scds", "stds") and not graph.is_connected():
         raise DomainError(f"variant {variant} requires a connected graph")
     if variant in ("tds", "stds") and any(len(a) == 0 for a in graph.adj):
@@ -109,6 +108,12 @@ def solve(
         elapsed=time.perf_counter() - start,
         nodes_explored=nodes,
     )
+
+
+def refuse_oversized(n: int, max_n: int | None = DEFAULT_MAX_N) -> None:
+    """Refuse an exact search over n > ``max_n`` vertices (None: no cap)."""
+    if max_n is not None and n > max_n:
+        raise DomainError(f"exact search refused for n={n} > {max_n}; raise max_n to override")
 
 
 def _plain_search(
@@ -154,9 +159,17 @@ def _bitset_search(
       joined with S is full).  A valid swap of u for its defender v needs a
       neighbour of u in the non-empty S - v: for (S - v) + u to stay
       connected (scds), or for u itself to stay totally dominated (stds).
+      The same rule cuts a branch once no choice from the rest can meet it:
+      a vertex must already be covered twice or be a member, be covered
+      once and by some later mask (``rest``), or be covered twice by the
+      later masks or be a later free vertex (``rest2``).  Every full-size
+      set below such a branch fails the leaf test, so the cut drops only
+      sets that test drops, and the checker sees the same sets in the same
+      order.
 
-    Returns the witness, or None when no size up to n has one, and the
-    number of full-size candidates the walk reached.
+    Both cuts end the loop, not just the branch: ``rest`` and ``rest2`` only
+    shrink as i grows.  Returns the witness, or None when no size up to n
+    has one, and the number of full-size candidates the walk reached.
     """
     closed = variant not in ("tds", "stds")
     cover = [sum(1 << w for w in nbrs) | closed << v for v, nbrs in enumerate(graph.adj)]
@@ -165,8 +178,10 @@ def _bitset_search(
     masks = [cover[v] for v in free]
     bits = [1 << v for v in free]
     rest = [0] * (len(free) + 1)  # rest[i]: union of the masks of free[i:]
+    rest2 = [0] * (len(free) + 1)  # rest2[i]: covered twice by free[i:], or in it
     for i in range(len(free) - 1, -1, -1):
         rest[i] = rest[i + 1] | masks[i]
+        rest2[i] = rest2[i + 1] | (rest[i + 1] & masks[i]) | bits[i]
     base_once = base_twice = base_members = 0
     for v in forced:
         base_twice |= base_once & cover[v]
@@ -182,6 +197,8 @@ def _bitset_search(
         nonlocal nodes
         for i in range(first, len(free) - left + 1):
             if once | rest[i] != full:
+                return None
+            if double and twice | members | (once & rest[i]) | rest2[i] != full:
                 return None
             if left > 1:
                 chosen.append(free[i])

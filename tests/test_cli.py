@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import run_python
 from securedom.cli import main
+from securedom.graph import MAX_VERTICES
+from securedom.names import FAMILY_KINDS, REDUCTION_KIND_NAMES
 from securedom.report import METHODS
 from securedom.verify import VARIANTS
 
@@ -274,6 +277,63 @@ def test_fuzzed_edge_lists_end_in_a_documented_exit_code(text, command, fmt):
         assert err.getvalue().splitlines()[-1].startswith(prefix)
 
 
+# Integer flag values from a small range, or above every cap.  Never just
+# below MAX_VERTICES: a family that size would really be built.  Values go in
+# as --flag=value, so argparse takes "-2,-2" for a value, not an option.
+def _flag_ints(low: int, high: int):
+    return st.one_of(st.integers(low, high), st.sampled_from([MAX_VERTICES + 1, 2**31, 10**12]))
+
+
+_FLAG_COMMANDS = st.one_of(
+    st.builds(
+        lambda variant, ids: ["verify", "--in", "-", "--variant", variant, "--set=" + ",".join(map(str, ids))],
+        st.sampled_from(VARIANTS),
+        st.lists(_flag_ints(-3, 7), max_size=5),
+    ),
+    st.builds(
+        lambda kind, param: ["reduce", "--in", "-", "--kind", kind, f"--param={param}"],
+        st.sampled_from(REDUCTION_KIND_NAMES),
+        _flag_ints(-3, 8),
+    ),
+    st.builds(
+        lambda kind, cap: ["check-equivalence", "--in", "-", "--kind", kind, f"--max-output-n={cap}"],
+        st.sampled_from(REDUCTION_KIND_NAMES),
+        _flag_ints(-3, 14),
+    ),
+    st.builds(
+        lambda kind, n, emit: ["family", "--kind", kind, f"--n={n}", *emit],
+        st.sampled_from(FAMILY_KINDS),
+        _flag_ints(-3, 12),
+        st.sampled_from([[], ["--emit-witness"]]),
+    ),
+    st.builds(
+        lambda grid, max_n: ["crosscheck", "--grid", grid, "--count", "1", f"--max-n={max_n}"],
+        st.sampled_from(["trees", "block", "threshold"]),
+        _flag_ints(-3, 14),
+    ),
+)
+
+
+# Each example gets a wall-clock budget: a flag that slips past a cap would
+# build or search something large and blow it.
+@settings(max_examples=200, deadline=2000)
+@given(text=st.sampled_from([P4, BOWTIE, LADDER3]), command=_FLAG_COMMANDS, fmt=st.sampled_from(["text", "json"]))
+def test_fuzzed_flags_end_in_a_documented_exit_code(text, command, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["--format", fmt, *command])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 3):
+        assert out.getvalue()
+    else:
+        assert out.getvalue() == ""
+        prefix = "parse error: " if code == 1 else "error: "
+        assert err.getvalue().splitlines()[-1].startswith(prefix)
+
+
 def test_check_equivalence_split_kind_recognizes_partition(graph_file, capsys):
     # P4 is split (middle edge clique, endpoints independent)
     code, out, _ = run(capsys, "check-equivalence", "--kind", "dm_split_to_scdm_split", "--in", graph_file(P4))
@@ -308,10 +368,14 @@ def test_failed_reverification_is_an_internal_error(graph_file, capsys, monkeypa
     code, out, err = run(capsys, "gamma", "--variant", "scds", "--in", graph_file(BOWTIE))
     assert code == 4
     assert out == ""
-    assert err == "internal error: block_formula witness failed scds re-verification\n"
+    assert err == (
+        "internal error: block_formula witness failed scds re-verification (witness of 3 vertices, "
+        "sha256 c54d94ef5f237b683906170673868d81dfe0dd2b15129d53446c0779e07d71bc)\n"
+    )
     code, _, err = run(capsys, "family", "--kind", "ladder", "--n", "3", "--emit-witness")
     assert code == 4
     assert err.startswith("internal error: ladder formula witness")
+    assert re.search(r"re-verification \(witness of \d+ vertices, sha256 [0-9a-f]{64}\)\n$", err)
     assert "Traceback" not in err
 
 

@@ -1,11 +1,13 @@
 """The connectivity tests of the exact search and the checkers against the
 component labeling they replaced, on one graph per isomorphism class with
-n <= 6, connected or not, and the cut data of the lowpoint walk on seeded
-graphs beyond that range."""
+n <= 6, connected or not, the exact search's filters and branch cuts against
+a plain walk, and the cut data of the lowpoint walk on seeded graphs beyond
+that range."""
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -157,8 +159,88 @@ def test_the_checker_sees_only_connected_candidates(monkeypatch):
     # ladder 9 scds: of the candidates reached, only the witness is connected
     checked.clear()
     report = solve(generate(FamilySpec("ladder", 9)), "scds")
-    assert report.nodes_explored == 103_830
+    assert report.nodes_explored == 10_432
     assert [s for _, s in checked] == [report.witness]
+
+
+def _cut_corpus():
+    """Every connected graph with n <= 6, then seeded G(n, p) with n = 7..9,
+    seeded block graphs with n = 8..13, ladder 6 and subdivided wheel 5."""
+    seeded = [random_graph(n, p, 7000 + 10 * n + k) for n in (7, 8, 9) for k, p in enumerate((0.25, 0.4, 0.55))]
+    seeded += [random_block_graph(n, 8000 + n) for n in range(8, 14)]
+    seeded += [generate(FamilySpec("ladder", 6)), generate(FamilySpec("subdivided_wheel", 5))]
+    return [g for g in CORPUS if g.is_connected()], seeded
+
+
+# nodes_explored of the variants without the double-cover cut, recorded before
+# it was added: the sum over the connected CORPUS graphs, then each seeded graph
+CANDIDATES_BEFORE_THE_CUT = {
+    "ds": (549, [5, 7, 7, 16, 12, 3, 25, 29, 13, 20, 7, 5, 16, 44, 59, 122, 62]),
+    "cds": (780, [25, 7, 10, 43, 22, 3, 75, 46, 29, 46, 21, 5, 16, 168, 131, 647, 77]),
+    "tds": (516, [12, 12, 8, 23, 19, 7, 19, 45, 27, 21, 15, 4, 5, 32, 38, 160, 59]),
+    "sds": (1341, [15, 29, 7, 30, 44, 17, 63, 141, 49, 33, 51, 247, 262, 298, 356, 330, 186]),
+}
+
+
+def _plain_walk(g: Graph, variant: str, check):
+    """The sets a search with no branch cut hands to ``check``: every
+    combination of the free vertices in plain order, by size from the
+    search's lower bound, joined with its forced set and passed through the
+    three leaf filters (domination, two member neighbours for every outside
+    vertex, connectivity).  Returns them and the first that ``check`` accepts."""
+    forced, lower = frozenset(), 1
+    if variant == "scds":
+        if g.is_complete():
+            return [], frozenset({0})
+        forced = g.leaves() | g.supports() if g.n >= 3 else frozenset()
+        lower = max(1 + solve(g, "ds").value, len(forced))
+    elif variant == "stds":
+        lower = solve(g, "tds").value
+    closed = variant not in ("tds", "stds")
+    free = [v for v in range(g.n) if v not in forced]
+    checked = []
+    for size in range(lower, g.n + 1):
+        for combo in combinations(free, size - len(forced)):
+            s = forced.union(combo)
+            hits = [sum(w in s for w in g.adj[u]) + (closed and u in s) for u in range(g.n)]
+            if 0 in hits:
+                continue
+            if variant in ("scds", "stds") and size >= 2 and any(hits[u] < 2 for u in range(g.n) if u not in s):
+                continue
+            if variant in ("cds", "scds") and g.components(restrict=s).count != 1:
+                continue
+            checked.append(s)
+            if check(g, s):
+                return checked, s
+    raise AssertionError(f"no {variant} certificate for {g.edges()}")
+
+
+def test_branch_cuts_hand_the_checker_the_plain_walks_sets(monkeypatch):
+    checkers = dict(verify.CHECKERS)
+    log = []
+    for variant, check in checkers.items():
+
+        def record(graph, members, variant=variant, check=check):
+            log.append((variant, members))
+            return check(graph, members)
+
+        monkeypatch.setitem(verify.CHECKERS, variant, record)
+    small, seeded = _cut_corpus()
+    counts = {variant: [] for variant in CANDIDATES_BEFORE_THE_CUT}
+    for g in small + seeded:
+        for variant in VARIANTS:
+            if g.n < 2 and variant in ("tds", "stds"):
+                continue
+            expected, witness = _plain_walk(g, variant, checkers[variant])
+            log.clear()
+            report = solve(g, variant)
+            assert [s for v, s in log if v == variant] == expected, (g.edges(), variant)
+            assert (report.value, report.witness) == (len(witness), witness), (g.edges(), variant)
+            if variant in counts:
+                counts[variant].append(report.nodes_explored)
+    for variant, found in counts.items():
+        tail = found[-len(seeded) :]
+        assert (sum(found[: -len(seeded)]), tail) == CANDIDATES_BEFORE_THE_CUT[variant], variant
 
 
 def _seeded_member_sets():

@@ -151,6 +151,9 @@ def test_branch_cut_bounds_the_candidates_reached():
     first = solve(ladder9, "scds").nodes_explored
     assert first < 218_390
     assert solve(ladder9, "scds").nodes_explored == first
+    # the double-cover cut: 32,203 full-size candidates on ladder 9 stds before it
+    report = solve(ladder9, "stds")
+    assert (report.value, report.nodes_explored) == (11, 3_286)
 
 
 def test_enumeration_class_counts():
