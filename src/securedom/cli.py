@@ -109,13 +109,13 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .verify import check_variant, failure_reason
+    from .verify import failure_reason
 
     graph = _load_graph(args)
     start = time.perf_counter()
     members = parse_vertex_set(args.set, graph)
-    verdict = check_variant(graph, args.variant, members)
-    reason = None if verdict else failure_reason(graph, args.variant, members)
+    reason = failure_reason(graph, args.variant, members)
+    verdict = reason is None
     payload = {
         "command": "verify",
         "variant": args.variant,

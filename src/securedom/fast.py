@@ -390,12 +390,6 @@ def _threshold_connected(graph: Graph, ordering: ThresholdOrdering) -> bool:
     return graph.n == 1 or (bool(xs) and len(graph.adj[xs[-1]]) == graph.n - 1)
 
 
-def _is_star(graph: Graph) -> bool:
-    if graph.n < 3 or graph.m != graph.n - 1:
-        return False
-    return max(len(a) for a in graph.adj) == graph.n - 1
-
-
 def gamma_sc_threshold(graph: Graph) -> SolveReport:
     """Secure connected domination number of a connected threshold graph.
 
@@ -413,7 +407,9 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
         raise DomainError("threshold solver requires a connected graph")
     if graph.is_complete():
         return trivial_complete(start)
-    if _is_star(graph):
+    xs = ordering.clique_order
+    if len(xs) == 1:
+        # the one clique vertex is universal and the rest independent: a star
         return SolveReport(
             variant="scds",
             value=graph.n,
@@ -422,7 +418,6 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
             elapsed=time.perf_counter() - start,
             nodes_explored=0,
         )
-    xs = ordering.clique_order
     if len(xs) < 2:
         raise RuntimeError(
             "connected non-complete non-star threshold graph with fewer than two "

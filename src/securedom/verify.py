@@ -5,9 +5,11 @@ A set S is checked against the variant's definition; the secure variants
 defender v in S adjacent to u such that (S - {v}) + {u} still satisfies the
 base property.
 
-The secure checkers behind ``CHECKERS`` and ``failure_reason`` never
-rebuild S: after the base check they apply local swap rules (Cockayne et
-al., Protection of a graph, Util. Math. 67, 2005) in near-linear time.
+``failure_reason`` is the one check: it tests coverage, a non-empty set,
+connectivity and the swap rules in that order, and every boolean checker,
+``CHECKERS`` and ``check_variant`` reads its verdict.  It never rebuilds
+S: after the base check it applies local swap rules (Cockayne et al.,
+Protection of a graph, Util. Math. 67, 2005) in near-linear time.
 Swapping v for u keeps S dominating iff every vertex whose only member in
 its closed neighbourhood is v lies in N[u]; it keeps S totally dominating
 iff every vertex whose only member neighbour is v lies in N(u); it keeps S
@@ -22,7 +24,8 @@ and ``is_stds`` rebuild S for every pair and re-run the whole-graph check;
 they are the test oracles the fast checkers are compared against.
 
 All checkers are total: disconnected graphs or otherwise hopeless sets
-yield False rather than an error.
+yield False rather than an error.  A member outside 0..n-1 raises the
+graph's range ``DomainError``.
 """
 
 from __future__ import annotations
@@ -50,26 +53,51 @@ class DefenderMap(NamedTuple):
 
 def is_dominating(graph: Graph, members: Iterable[int]) -> bool:
     """True iff the closed neighborhood of the set covers every vertex."""
-    s = set(members)
-    covered = set(s)
-    n, adj = graph.n, graph.adj
-    for v in s:
-        covered.update(adj[v])
-        if len(covered) == n:
-            return True
-    return len(covered) == n
+    return failure_reason(graph, "ds", members) is None
 
 
-def _induces_connected(graph: Graph, s: set[int] | frozenset[int]) -> bool:
-    """Whether the non-empty set S induces a connected subgraph: one
-    depth-first search over a flag per member, cleared as it is reached.
-    A member outside 0..n-1 raises the range error of ``Graph.components``."""
-    n, adj = graph.n, graph.adj
+def is_connected_dominating(graph: Graph, members: Iterable[int]) -> bool:
+    """Dominating and inducing a connected subgraph; empty sets never qualify."""
+    return failure_reason(graph, "cds", members) is None
+
+
+def is_total_dominating(graph: Graph, members: Iterable[int]) -> bool:
+    """Every vertex of the graph, members included, has a neighbor in the set."""
+    return failure_reason(graph, "tds", members) is None
+
+
+def _member_flags(graph: Graph, s: set[int] | frozenset[int]) -> bytearray:
+    """A flag per vertex, set on the members of S.  A member outside 0..n-1
+    raises the graph's range error (a negative id would index a row)."""
+    n = graph.n
     inside = bytearray(n)
     for v in s:
         if not 0 <= v < n:
             graph._check_vertex(v)
         inside[v] = 1
+    return inside
+
+
+def _first_uncovered(graph: Graph, s: set[int] | frozenset[int], closed: bool) -> int:
+    """Least vertex outside N[S] (outside N(S) when ``closed`` is False), or
+    -1 if there is none.  The members' neighbourhoods are joined into one
+    set, which stops growing once it holds every vertex."""
+    n, adj = graph.n, graph.adj
+    covered = set(s) if closed else set()
+    for v in s:
+        covered.update(adj[v])
+        if len(covered) == n:
+            return -1
+    return next((v for v in range(n) if v not in covered), -1)
+
+
+def _induces_connected(
+    adj: tuple[tuple[int, ...], ...], inside: bytearray, s: set[int] | frozenset[int]
+) -> bool:
+    """Whether the non-empty set S, flagged in ``inside``, induces a connected
+    subgraph: one depth-first search over a copy of the flags, each cleared
+    as its member is reached."""
+    inside = bytearray(inside)
     root = next(iter(s))
     inside[root] = 0
     stack = [root]
@@ -83,37 +111,14 @@ def _induces_connected(graph: Graph, s: set[int] | frozenset[int]) -> bool:
     return reached == len(s)
 
 
-def is_connected_dominating(graph: Graph, members: Iterable[int]) -> bool:
-    """Dominating and inducing a connected subgraph; empty sets never qualify."""
-    s = set(members)
-    if not s:
-        return False
-    if not is_dominating(graph, s):
-        return False
-    return _induces_connected(graph, s)
-
-
-def is_total_dominating(graph: Graph, members: Iterable[int]) -> bool:
-    """Every vertex of the graph, members included, has a neighbor in the set."""
-    s = set(members)
-    adj = graph.adj
-    return all(any(w in s for w in adj[v]) for v in range(graph.n))
-
-
 def epn(graph: Graph, v: int, members: Iterable[int]) -> frozenset[int]:
     """External private neighbors of v: outside vertices whose only closed-
     neighborhood member inside the set is v."""
     s = set(members)
     if v not in s:
         raise DomainError(f"vertex {v} is not in the set")
-    out = set()
-    for w, nbrs in enumerate(graph.adj):
-        if w in s:
-            continue
-        hits = [x for x in nbrs if x in s]
-        if hits == [v]:
-            out.add(w)
-    return frozenset(out)
+    private = _private_neighbours(graph.adj, _member_flags(graph, s), True)
+    return frozenset(private.get(v, ())) - {v}
 
 
 def _swap_check(
@@ -238,11 +243,13 @@ class _Cuts:
         return len(touched) == parts
 
 
-def _first_undefended(graph: Graph, variant: str, s: set[int] | frozenset[int]) -> int | None:
+def _first_undefended(
+    graph: Graph, variant: str, s: set[int] | frozenset[int], inside: bytearray
+) -> int | None:
     """Least outside vertex with no valid defender, or None if S is secure.
 
-    S must already have the variant's base property.  Swapping member v for
-    an adjacent outside vertex u is valid exactly when:
+    S, flagged in ``inside``, must already have the variant's base property.
+    Swapping member v for an adjacent outside vertex u is valid exactly when:
 
     * sds: every w with N[w] & S == {v} lies in N[u];
     * stds: every w with N(w) & S == {v} lies in N(u) (so w == u fails);
@@ -253,9 +260,6 @@ def _first_undefended(graph: Graph, variant: str, s: set[int] | frozenset[int]) 
     bisection per member neighbour of u.
     """
     n, adj = graph.n, graph.adj
-    inside = bytearray(n)
-    for v in s:
-        inside[v] = 1
     closed = variant != "stds"
     private = _private_neighbours(adj, inside, closed)
     # With |S| >= 2, S - v is nonempty, so u must also meet it through a
@@ -301,10 +305,7 @@ def _first_undefended(graph: Graph, variant: str, s: set[int] | frozenset[int]) 
 def is_secure_dominating(graph: Graph, members: Iterable[int]) -> bool:
     """Dominating, and every outside vertex can swap in for an adjacent member
     while the set stays dominating."""
-    s = set(members)
-    if not is_dominating(graph, s):
-        return False
-    return _first_undefended(graph, "sds", s) is None
+    return failure_reason(graph, "sds", members) is None
 
 
 def is_scds_definition(
@@ -321,10 +322,7 @@ def is_scds_definition(
 def is_scds(graph: Graph, members: Iterable[int]) -> bool:
     """Secure-connected check by the local swap rules: S is a connected
     dominating set and every outside vertex has a valid defender."""
-    s = set(members)
-    if not is_connected_dominating(graph, s):
-        return False
-    return _first_undefended(graph, "scds", s) is None
+    return failure_reason(graph, "scds", members) is None
 
 
 # The component-adjacency characterization is exactly the scds swap rule of
@@ -344,14 +342,11 @@ def is_stds(
 
 
 def _is_stds(graph: Graph, members: Iterable[int]) -> bool:
-    s = set(members)
-    if not s or not is_total_dominating(graph, s):
-        return False
-    return _first_undefended(graph, "stds", s) is None
+    return failure_reason(graph, "stds", members) is None
 
 
-# The boolean checker of each variant, shared by check_variant and the exact
-# search.  Keep it a module-level dict: the benchmark tracer wraps its values.
+# The boolean checker of each variant, read by the exact search.  Keep it a
+# module-level dict: the benchmark tracer wraps its values.
 CHECKERS: dict[str, Callable[[Graph, Iterable[int]], bool]] = {
     "ds": is_dominating,
     "cds": is_connected_dominating,
@@ -364,37 +359,32 @@ CHECKERS: dict[str, Callable[[Graph, Iterable[int]], bool]] = {
 
 def check_variant(graph: Graph, variant: str, members: Iterable[int]) -> bool:
     """Dispatch a certificate check by variant name."""
-    if variant not in CHECKERS:
-        raise DomainError(f"unknown variant {variant!r}")
-    return CHECKERS[variant](graph, frozenset(members))
+    return failure_reason(graph, variant, members) is None
 
 
 def failure_reason(graph: Graph, variant: str, members: Iterable[int]) -> str | None:
     """Human-readable reason a certificate fails, or None if it passes.
 
-    A secure-variant failure names the least undefended vertex, the one the
+    The one composition of each variant's test: coverage (N[S], or N(S) for
+    tds and stds), a non-empty set for cds, scds and stds, connectivity of
+    G[S] for cds and scds, then the swap rules for sds, scds and stds.  A
+    secure-variant failure names the least undefended vertex, the one the
     literal swap loop stops at.
     """
-    if variant not in CHECKERS:
+    if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     s = frozenset(members)
-    if variant in ("ds", "cds", "sds", "scds") and not is_dominating(graph, s):
-        covered = graph.closed_neighborhood(s)
-        missed = min(v for v in range(graph.n) if v not in covered)
-        return f"vertex {missed} is not dominated"
-    if variant in ("cds", "scds"):
-        if not s:
-            return "set is empty"
-        if not _induces_connected(graph, s):
-            return "induced subgraph is disconnected"
-    if variant in ("tds", "stds") and not is_total_dominating(graph, s):
-        missed = min(
-            v for v, nbrs in enumerate(graph.adj) if not any(w in s for w in nbrs)
-        )
-        return f"vertex {missed} has no neighbor in the set"
-    if variant not in ("sds", "scds", "stds"):
-        return None
-    if variant == "stds" and not s:
+    inside = _member_flags(graph, s)
+    closed = variant not in ("tds", "stds")
+    missed = _first_uncovered(graph, s, closed)
+    if missed >= 0:
+        return f"vertex {missed} " + ("is not dominated" if closed else "has no neighbor in the set")
+    if not s and variant in ("cds", "scds", "stds"):
         return "set is empty"
-    undefended = _first_undefended(graph, variant, s)
-    return None if undefended is None else f"vertex {undefended} has no valid defender"
+    if variant in ("cds", "scds") and not _induces_connected(graph.adj, inside, s):
+        return "induced subgraph is disconnected"
+    if variant in ("sds", "scds", "stds"):
+        undefended = _first_undefended(graph, variant, s, inside)
+        if undefended is not None:
+            return f"vertex {undefended} has no valid defender"
+    return None

@@ -92,6 +92,24 @@ def test_verify_reports_reason(graph_file, capsys):
     assert "verdict true" in out
 
 
+def test_verify_runs_the_check_once_on_a_rejected_set(graph_file, capsys, monkeypatch):
+    import securedom.verify as verify
+
+    calls = []
+    original = verify._first_undefended
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(verify, "_first_undefended", counted)
+    # {1, 2} is a connected dominating set of P4 that only the swap rule rejects
+    code, out, _ = run(capsys, "verify", "--variant", "scds", "--in", graph_file(P4), "--set", "1,2")
+    assert code == 0
+    assert "reason vertex 0 has no valid defender" in out
+    assert calls == ["scds"]
+
+
 def test_verify_stds_empty_set_on_empty_graph(graph_file, capsys):
     code, out, err = run(capsys, "verify", "--variant", "stds", "--set", "", "--in", graph_file("p 0 0\n"))
     assert code == 0

@@ -2,7 +2,8 @@
 component labeling they replaced, on one graph per isomorphism class with
 n <= 6, connected or not, the exact search's filters and branch cuts against
 a plain walk, and the cut data of the lowpoint walk on seeded graphs beyond
-that range."""
+that range, and the one composed check of each variant against the checks
+it replaced."""
 
 from __future__ import annotations
 
@@ -62,6 +63,83 @@ def _old_connectivity_reason(graph: Graph, variant: str, members) -> str | None:
     return None
 
 
+# The checks as they stood when each boolean ran its own base checks and
+# failure_reason ran them again.  The swap rules are the package's own: the
+# literal swap loop pins them in test_verifiers.
+def _prior_is_dominating(graph: Graph, members) -> bool:
+    s = set(members)
+    covered = set(s)
+    n, adj = graph.n, graph.adj
+    for v in s:
+        covered.update(adj[v])
+        if len(covered) == n:
+            return True
+    return len(covered) == n
+
+
+def _prior_is_connected_dominating(graph: Graph, members) -> bool:
+    s = set(members)
+    if not s or not _prior_is_dominating(graph, s):
+        return False
+    inside = bytearray(graph.n)
+    for v in s:
+        inside[v] = 1
+    root = next(iter(s))
+    inside[root] = 0
+    stack = [root]
+    reached = 1
+    while stack:
+        for w in graph.adj[stack.pop()]:
+            if inside[w]:
+                inside[w] = 0
+                reached += 1
+                stack.append(w)
+    return reached == len(s)
+
+
+def _prior_is_total_dominating(graph: Graph, members) -> bool:
+    s = set(members)
+    return all(any(w in s for w in graph.adj[v]) for v in range(graph.n))
+
+
+def _prior_undefended(graph: Graph, variant: str, s) -> int | None:
+    inside = bytearray(graph.n)
+    for v in s:
+        inside[v] = 1
+    return verify._first_undefended(graph, variant, s, inside)
+
+
+PRIOR_CHECKERS = {
+    "ds": _prior_is_dominating,
+    "cds": _prior_is_connected_dominating,
+    "tds": _prior_is_total_dominating,
+    "sds": lambda g, s: _prior_is_dominating(g, s) and _prior_undefended(g, "sds", s) is None,
+    "scds": lambda g, s: _prior_is_connected_dominating(g, s) and _prior_undefended(g, "scds", s) is None,
+    "stds": lambda g, s: bool(s) and _prior_is_total_dominating(g, s) and _prior_undefended(g, "stds", s) is None,
+}
+
+
+def _prior_failure_reason(graph: Graph, variant: str, s) -> str | None:
+    if variant in ("ds", "cds", "sds", "scds") and not _prior_is_dominating(graph, s):
+        covered = graph.closed_neighborhood(s)
+        missed = min(v for v in range(graph.n) if v not in covered)
+        return f"vertex {missed} is not dominated"
+    if variant in ("cds", "scds"):
+        if not s:
+            return "set is empty"
+        if not _prior_is_connected_dominating(graph, s):
+            return "induced subgraph is disconnected"
+    if variant in ("tds", "stds") and not _prior_is_total_dominating(graph, s):
+        missed = min(v for v, nbrs in enumerate(graph.adj) if not any(w in s for w in nbrs))
+        return f"vertex {missed} has no neighbor in the set"
+    if variant not in ("sds", "scds", "stds"):
+        return None
+    if variant == "stds" and not s:
+        return "set is empty"
+    undefended = _prior_undefended(graph, variant, s)
+    return None if undefended is None else f"vertex {undefended} has no valid defender"
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -114,11 +192,28 @@ def test_members_outside_the_range_behave_as_before(outside):
 
 
 def test_range_error_is_the_graphs_own():
-    # -1 indexes the last row, so {-1, 0} counts as dominating the path 0-1-2
-    # and the connectivity test is the first to see the stray member
+    # every check range-checks the set before it reads a row, so -1 does not
+    # index the last row of the path 0-1-2
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(DomainError, match=r"vertex -1 outside range 0\.\.2"):
         verify.is_connected_dominating(g, {-1, 0})
+
+
+def test_one_composed_check_matches_the_checks_it_replaced():
+    graphs = CORPUS + [random_graph(7 + seed % 3, 0.25 + 0.15 * (seed % 3), 700 + seed) for seed in range(24)]
+    rejected = dict.fromkeys(VARIANTS, 0)
+    for g in graphs:
+        for mask in range(1 << g.n):
+            s = _members(mask)
+            for variant in VARIANTS:
+                reason = _prior_failure_reason(g, variant, s)
+                verdict = PRIOR_CHECKERS[variant](g, s)
+                case = (g.n, g.edges(), sorted(s), variant)
+                assert verify.failure_reason(g, variant, s) == reason, case
+                assert verify.check_variant(g, variant, s) == verdict, case
+                assert verify.CHECKERS[variant](g, s) == verdict, case
+                rejected[variant] += reason is not None
+    assert min(rejected.values()) > 0
 
 
 def _answer(report):

@@ -324,6 +324,9 @@ def test_threshold_connectivity_rule_matches_a_search_on_every_labeled_graph():
             ordering = recognize_threshold(g)
             if not isinstance(ordering, ThresholdRejection):
                 assert fast._threshold_connected(g, ordering) == g.is_connected(), g.edges()
+                if g.is_connected() and not g.is_complete():
+                    star = g.m == n - 1 and max(map(len, g.adj)) == n - 1
+                    assert (len(ordering.clique_order) == 1) == star, g.edges()
                 checked += 1
     # OEIS A005840: labeled threshold graphs on 1..6 vertices
     assert checked == 1 + 2 + 8 + 46 + 332 + 2874

@@ -233,12 +233,12 @@ def test_checks_run_a_bounded_number_of_whole_graph_base_checks(monkeypatch):
     import securedom.verify as verify
 
     calls = []
-    for name in ("is_dominating", "is_connected_dominating", "is_total_dominating"):
+    for name in ("_first_uncovered", "_induces_connected"):
         original = getattr(verify, name)
 
-        def counted(graph, members, original=original):
-            calls.append(original)
-            return original(graph, members)
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
         monkeypatch.setattr(verify, name, counted)
     # a path of 60 vertices: its interior is the secure connected set, and
@@ -250,19 +250,49 @@ def test_checks_run_a_bounded_number_of_whole_graph_base_checks(monkeypatch):
         ("sds", frozenset(range(0, 60, 2))),
         ("stds", interior),
         ("scds", interior - {30}),
+        ("cds", interior),
     ):
-        calls.clear()
-        check_variant(g, variant, members)
-        assert len(calls) <= 3, variant
-        calls.clear()
-        failure_reason(g, variant, members)
-        assert len(calls) <= 3, variant
+        for check in (check_variant, failure_reason):
+            calls.clear()
+            check(g, variant, members)
+            assert calls.count("_first_uncovered") == 1, variant
+            assert calls.count("_induces_connected") == (variant in ("cds", "scds")), variant
 
 
 def test_checker_table_covers_every_variant():
     assert tuple(CHECKERS) == VARIANTS
     with pytest.raises(DomainError, match="unknown variant 'xds'"):
         check_variant(path_graph(3), "xds", {1})
+
+
+# The public boolean of each variant; the literal stds check is the public one
+# for stds, whose fast checker is reached through CHECKERS.
+PUBLIC_CHECKS = {
+    "ds": is_dominating,
+    "cds": is_connected_dominating,
+    "tds": is_total_dominating,
+    "sds": is_secure_dominating,
+    "scds": is_scds,
+    "stds": is_stds,
+}
+
+
+@pytest.mark.parametrize("g", [path_graph(2), path_graph(3)], ids=["K2", "P3"])
+def test_members_outside_the_range_raise_the_graphs_range_error(g):
+    # -1 would index the last row, and n would overrun the rows
+    outside = r"vertex -?\d+ outside range 0\.\.\d+"
+    for members in ({-1}, {g.n}, {0, g.n + 2}):
+        for variant in VARIANTS:
+            for check in (
+                lambda: check_variant(g, variant, members),
+                lambda: failure_reason(g, variant, members),
+                lambda: CHECKERS[variant](g, members),
+                lambda: PUBLIC_CHECKS[variant](g, members),
+            ):
+                with pytest.raises(DomainError, match=outside):
+                    check()
+        with pytest.raises(DomainError, match=outside):
+            epn(g, min(members), members)
 
 
 def test_checkers_are_total_on_disconnected_graphs():
