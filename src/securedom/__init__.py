@@ -9,15 +9,14 @@ it needs) the first time it is read.
 
 # Each home module and the public names it exports.
 _EXPORTS = {
-    "exact": (
-        "canonical_form",
-        "enumerate_connected_graphs",
+    "crosscheck": (
         "random_block_graph",
         "random_graph",
+        "random_split_graph",
         "random_threshold_graph",
         "random_tree",
-        "solve",
     ),
+    "exact": ("canonical_form", "enumerate_connected_graphs", "solve"),
     "families": ("FAMILY_KINDS", "FamilySpec", "formula_value", "formula_witness", "generate"),
     "fast": (
         "BlockDecomposition",
@@ -30,7 +29,6 @@ _EXPORTS = {
         "gamma_sc_threshold",
         "is_bipartite",
         "is_block_graph",
-        "random_split_graph",
         "recognize_split",
         "recognize_threshold",
     ),

@@ -274,7 +274,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             if args.max_n is not None:
                 kwargs["max_n"] = args.max_n
             report = runner(**kwargs)
-        results.extend((grid, r) for r in report.results)
+        results.extend((grid, r) for r in report)
     passed = sum(1 for _, r in results if r.passed)
     payload = {
         "command": "crosscheck",

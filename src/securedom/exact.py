@@ -22,8 +22,7 @@ the checker.  The complete-graph report is built by
 ``auto`` dispatch ``report.gamma`` share.
 
 Also houses the small-graph isomorphism-class enumerator (a brute-force
-relabeling table over Python ints) and the seeded random generators used as
-test corpora.
+relabeling table over Python ints).
 
 This is the ground-truth oracle: everything faster in the package is
 validated against it at desk scale.
@@ -31,7 +30,6 @@ validated against it at desk scale.
 
 from __future__ import annotations
 
-import random
 import time
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -310,15 +308,6 @@ def canonical_form(graph: Graph) -> tuple[int, int]:
     return graph.n, min(_relabelings(graph.n, _mask_of(graph)))
 
 
-def _mask_connected(n: int, mask: int, slots: tuple[tuple[int, int], ...]) -> bool:
-    nbr = [0] * n
-    for i, (u, v) in enumerate(slots):
-        if mask >> i & 1:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-    return _members_connected(nbr, (1 << n) - 1)
-
-
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
     """The least edge mask of every connected class, ascending.
@@ -327,14 +316,13 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
     so the first mask met in an orbit is its least member: the canonical
     mask.  Connectivity is the same across an orbit, so that member decides.
     """
-    slots = _edge_slots(n)
     seen: set[int] = set()
     canons = []
-    for mask in range(1 << len(slots)):
+    for mask in range(1 << len(_edge_slots(n))):
         if mask in seen:
             continue
         seen.update(_relabelings(n, mask))
-        if _mask_connected(n, mask, slots):
+        if _graph_of_mask(n, mask).is_connected():
             canons.append(mask)
     return tuple(canons)
 
@@ -348,58 +336,3 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
         raise DomainError(f"enumeration supported for 1 <= n <= {ENUMERATION_LIMIT}")
     for mask in _connected_class_masks(n):
         yield _graph_of_mask(n, mask)
-
-
-# -- seeded random generators ----------------------------------------------
-
-
-def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
-    """Connected G(n, p) sample; resamples until connected (bounded retries)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = random.Random(seed)
-    for _ in range(10_000):
-        edges = [e for e in combinations(range(n), 2) if rng.random() < edge_probability]
-        g = Graph.from_edges(n, edges)
-        if g.is_connected():
-            return g
-    raise DomainError("failed to sample a connected graph; raise edge_probability")
-
-
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniform-attachment random tree on n vertices."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = random.Random(seed)
-    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
-
-
-def random_block_graph(n: int, seed: int) -> Graph:
-    """Random block graph: cliques of size 2..4 glued tree-fashion at shared
-    cut vertices until n vertices exist."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = random.Random(seed)
-    edges: list[tuple[int, int]] = []
-    built = 1
-    while built < n:
-        cut = rng.randrange(built)
-        size = rng.randint(2, min(4, n - built + 1))
-        block = [cut] + list(range(built, built + size - 1))
-        built += size - 1
-        edges.extend(combinations(block, 2))
-    return Graph.from_edges(n, edges)
-
-
-def random_threshold_graph(n: int, seed: int) -> Graph:
-    """Random creation sequence (each new vertex isolated or universal); the
-    final vertex is forced universal so the result is connected."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = random.Random(seed)
-    edges: list[tuple[int, int]] = []
-    for v in range(1, n):
-        universal = True if v == n - 1 else rng.random() < 0.5
-        if universal:
-            edges.extend((u, v) for u in range(v))
-    return Graph.from_edges(n, edges)

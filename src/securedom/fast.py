@@ -15,7 +15,6 @@ the whole recognition linear apart from the initial sort.
 
 from __future__ import annotations
 
-import random
 import time
 from bisect import bisect_left
 from collections import deque
@@ -272,23 +271,6 @@ def recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
         reason=f"induced {kind} on vertices {list(vertices)}",
         obstruction=vertices,
         obstruction_kind=kind,
-    )
-
-
-def random_split_graph(n: int, seed: int) -> tuple[Graph, SplitPartition]:
-    """Seeded split graph with a known partition (clique size random)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = random.Random(seed)
-    c = rng.randint(1, n)
-    edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
-    for w in range(c, n):
-        for u in range(c):
-            if rng.random() < 0.5:
-                edges.append((u, w))
-    graph = Graph.from_edges(n, edges)
-    return graph, SplitPartition(
-        clique=frozenset(range(c)), independent=frozenset(range(c, n))
     )
 
 

@@ -153,20 +153,8 @@ class Graph(NamedTuple):
 
     def is_connected(self) -> bool:
         """One depth-first search from vertex 0 over a flag per vertex."""
-        if self.n == 0:
-            return False
-        adj = self.adj
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        reached = 1
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = 1
-                    reached += 1
-                    stack.append(w)
-        return reached == self.n
+        n = self.n
+        return n > 0 and flagged_reach(self.adj, bytearray(b"\x01") * n, 0) == n
 
     def leaves(self) -> frozenset[int]:
         """Vertices of degree 1 (pendant vertices)."""
@@ -179,6 +167,22 @@ class Graph(NamedTuple):
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise DomainError(f"vertex {v} outside range 0..{self.n - 1}")
+
+
+def flagged_reach(adj: tuple[tuple[int, ...], ...], flags: bytearray, root: int) -> int:
+    """How many vertices a depth-first search from ``root`` reaches when it
+    may enter only flagged vertices, ``root`` included.  It clears the flag
+    of each vertex it reaches, so pass flags that may be spent."""
+    flags[root] = 0
+    stack = [root]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if flags[w]:
+                flags[w] = 0
+                reached += 1
+                stack.append(w)
+    return reached
 
 
 def lowpoint_walk(

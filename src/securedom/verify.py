@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterable, NamedTuple
 
-from .graph import DomainError, Graph, lowpoint_walk
+from .graph import DomainError, Graph, flagged_reach, lowpoint_walk
 from .names import VARIANTS
 
 
@@ -95,20 +95,8 @@ def _induces_connected(
     adj: tuple[tuple[int, ...], ...], inside: bytearray, s: set[int] | frozenset[int]
 ) -> bool:
     """Whether the non-empty set S, flagged in ``inside``, induces a connected
-    subgraph: one depth-first search over a copy of the flags, each cleared
-    as its member is reached."""
-    inside = bytearray(inside)
-    root = next(iter(s))
-    inside[root] = 0
-    stack = [root]
-    reached = 1
-    while stack:
-        for w in adj[stack.pop()]:
-            if inside[w]:
-                inside[w] = 0
-                reached += 1
-                stack.append(w)
-    return reached == len(s)
+    subgraph: one search that spends a copy of the flags."""
+    return flagged_reach(adj, bytearray(inside), next(iter(s))) == len(s)
 
 
 def epn(graph: Graph, v: int, members: Iterable[int]) -> frozenset[int]:
@@ -125,7 +113,7 @@ def _swap_check(
     graph: Graph,
     s: set[int],
     keeps_property: Callable[[Graph, set[int]], bool],
-    exhaustive: bool,
+    exhaustive: bool = True,
 ) -> tuple[bool, DefenderMap]:
     """Common swap loop for the secure variants.
 
@@ -308,15 +296,13 @@ def is_secure_dominating(graph: Graph, members: Iterable[int]) -> bool:
     return failure_reason(graph, "sds", members) is None
 
 
-def is_scds_definition(
-    graph: Graph, members: Iterable[int], *, exhaustive: bool = True
-) -> tuple[bool, DefenderMap]:
+def is_scds_definition(graph: Graph, members: Iterable[int]) -> tuple[bool, DefenderMap]:
     """Literal secure-connected check: S is a connected dominating set and
     every outside vertex has a swap preserving connected domination."""
     s = set(members)
     if not is_connected_dominating(graph, s):
         return False, DefenderMap(defenders={})
-    return _swap_check(graph, s, is_connected_dominating, exhaustive=exhaustive)
+    return _swap_check(graph, s, is_connected_dominating)
 
 
 def is_scds(graph: Graph, members: Iterable[int]) -> bool:
@@ -330,15 +316,13 @@ def is_scds(graph: Graph, members: Iterable[int]) -> bool:
 is_scds_characterization = is_scds
 
 
-def is_stds(
-    graph: Graph, members: Iterable[int], *, exhaustive: bool = True
-) -> tuple[bool, DefenderMap]:
+def is_stds(graph: Graph, members: Iterable[int]) -> tuple[bool, DefenderMap]:
     """Literal secure-total check: S is a total dominating set and every
     outside vertex has a swap preserving total domination."""
     s = set(members)
     if not s or not is_total_dominating(graph, s):
         return False, DefenderMap(defenders={})
-    return _swap_check(graph, s, is_total_dominating, exhaustive=exhaustive)
+    return _swap_check(graph, s, is_total_dominating)
 
 
 def _is_stds(graph: Graph, members: Iterable[int]) -> bool:

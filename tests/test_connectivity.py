@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from securedom import DomainError, Graph, exact, solve, verify
-from securedom.exact import random_block_graph, random_graph
+from securedom.crosscheck import random_block_graph, random_graph
 from securedom.graph import lowpoint_walk
 from securedom.families import FamilySpec, generate
 from securedom.verify import VARIANTS

@@ -27,7 +27,7 @@ from securedom import (
     is_total_dominating,
 )
 from securedom.families import FamilySpec, generate
-from securedom.exact import random_graph
+from securedom.crosscheck import random_graph
 from securedom.verify import (
     CHECKERS,
     VARIANTS,
