@@ -50,7 +50,6 @@ _EXPORTS = {
         "is_connected_dominating",
         "is_dominating",
         "is_scds",
-        "is_scds_characterization",
         "is_scds_definition",
         "is_secure_dominating",
         "is_stds",

@@ -57,11 +57,13 @@ def _read_graph(path: str) -> Graph:
 
 def _load_graph(args: argparse.Namespace) -> Graph:
     family = getattr(args, "family", None)
+    path = getattr(args, "input", None)
     if family is not None:
+        if path is not None:
+            raise DomainError("pass either --in FILE or --family KIND --n N, not both")
         from .families import FamilySpec, generate
 
         return generate(FamilySpec(family, args.n))
-    path = getattr(args, "input", None)
     if path is None:
         raise DomainError("no input graph: pass --in FILE or --family KIND --n N")
     return _read_graph(path)

@@ -14,10 +14,10 @@ outside vertex two member neighbours.  A full-size candidate reaches the
 variant's checker only if it dominates, for cds and scds induces a
 connected subgraph, and, for scds and stds sets of two or more, covers
 every outside vertex twice (see ``_bitset_search`` for why these cuts and
-filters only drop sets the checker would reject).  Every
-returned witness has passed ``verify.CHECKERS``.  Pruning can be disabled
-for soundness cross-checks: the search then feeds every subset straight to
-the checker.  The complete-graph report is built by
+filters only drop sets the checker would reject).  The checker is
+``verify.failure_reason``, and every returned witness has passed it.
+Pruning can be disabled for soundness cross-checks: the search then feeds
+every subset straight to the checker.  The complete-graph report is built by
 ``report.trivial_complete``, which the linear-time solvers and the
 ``auto`` dispatch ``report.gamma`` share.
 
@@ -33,12 +33,12 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graph import DomainError, Graph
 from .names import DEFAULT_MAX_N, VARIANTS
 from .report import METHOD_EXACT, SolveReport, trivial_complete
-from .verify import CHECKERS
+from .verify import failure_reason
 
 
 def solve(
@@ -91,11 +91,10 @@ def solve(
         elif variant == "stds":
             lower = solve(graph, "tds", max_n=max_n).value
 
-    check = CHECKERS[variant]
     if use_pruning:
-        witness, nodes = _bitset_search(graph, variant, forced, lower, check)
+        witness, nodes = _bitset_search(graph, variant, forced, lower)
     else:
-        witness, nodes = _plain_search(graph, check)
+        witness, nodes = _plain_search(graph, variant)
     if witness is None:
         raise RuntimeError(f"no {variant} certificate up to size n; preconditions violated?")
     return SolveReport(
@@ -114,36 +113,35 @@ def refuse_oversized(n: int, max_n: int | None = DEFAULT_MAX_N) -> None:
         raise DomainError(f"exact search refused for n={n} > {max_n}; raise max_n to override")
 
 
-def _plain_search(
-    graph: Graph, check: Callable[[Graph, frozenset[int]], bool]
-) -> tuple[frozenset[int] | None, int]:
-    """Every subset by size, then in combinations order, straight into ``check``."""
+def _plain_search(graph: Graph, variant: str) -> tuple[frozenset[int] | None, int]:
+    """Every subset by size, then in combinations order, straight into the
+    variant's check."""
     nodes = 0
     for size in range(1, graph.n + 1):
         for combo in combinations(range(graph.n), size):
             nodes += 1
-            if check(graph, frozenset(combo)):
+            if failure_reason(graph, variant, frozenset(combo)) is None:
                 return frozenset(combo), nodes
     return None, nodes
 
 
 def _bitset_search(
-    graph: Graph,
-    variant: str,
-    forced: frozenset[int],
-    lower: int,
-    check: Callable[[Graph, frozenset[int]], bool],
+    graph: Graph, variant: str, forced: frozenset[int], lower: int
 ) -> tuple[frozenset[int] | None, int]:
     """The first candidate, by size from ``lower`` and then in combinations
-    order over the free vertices, that passes the filters and ``check``.
+    order over the free vertices, that passes the filters and the variant's
+    check, ``failure_reason(graph, variant, s) is None``.
 
     Vertex sets are Python-int masks.  A candidate is the forced set plus one
     combination of the free vertices, walked depth first in combinations
     order; each depth carries the prefix union ``once`` of the members' cover
     masks (N[v], or N(v) for tds and stds) and ``twice``, the vertices
-    covered at least twice, both seeded with the forced set.  The filters
-    only drop sets that ``check`` rejects, so the first survivor it accepts
-    is the first certificate in the plain order:
+    covered at least twice, both seeded with the forced set.  One leaf test,
+    ``leaves``, filters each full-size candidate and then checks it: the
+    walk hands it each run of last picks that survives the branch cuts, and
+    the forced set alone when that has the size sought.  The filters only
+    drop sets that the check rejects, so the first survivor it accepts is
+    the first certificate in the plain order:
 
     - every variant dominates (totally for tds and stds), so a branch is cut
       as soon as ``once`` together with the masks of every later free vertex
@@ -165,9 +163,11 @@ def _bitset_search(
       sets that test drops, and the checker sees the same sets in the same
       order.
 
-    Both cuts end the loop, not just the branch: ``rest`` and ``rest2`` only
-    shrink as i grows.  Returns the witness, or None when no size up to n
-    has one, and the number of full-size candidates the walk reached.
+    Both cuts end a depth's loop, not just the branch: ``rest`` and
+    ``rest2`` only shrink as i grows, so each depth scans for its first cut
+    and walks the picks before it.  Returns the witness, or None when no
+    size up to n has one, and the number of full-size candidates the walk
+    reached.
     """
     closed = variant not in ("tds", "stds")
     cover = [sum(1 << w for w in nbrs) | closed << v for v, nbrs in enumerate(graph.adj)]
@@ -190,32 +190,45 @@ def _bitset_search(
     double = False
     connected = variant in ("cds", "scds")
     chosen: list[int] = []
+    # picks[i]: the mask, bit and vertex tuple that adding free[i] contributes
+    picks = [(masks[i], bits[i], (free[i],)) for i in range(len(free))]
 
-    def extend(first: int, left: int, once: int, twice: int, members: int) -> frozenset[int] | None:
+    def leaves(
+        once: int, twice: int, members: int, run: list[tuple[int, int, tuple[int, ...]]]
+    ) -> frozenset[int] | None:
+        """The leaf test: the first candidate forced + chosen + last, for
+        each pick (mask, bit, last) of ``run`` in order, that is fully
+        covered, doubly covered and connected and passes the check."""
         nonlocal nodes
-        for i in range(first, len(free) - left + 1):
-            if once | rest[i] != full:
-                return None
-            if double and twice | members | (once & rest[i]) | rest2[i] != full:
-                return None
-            if left > 1:
-                chosen.append(free[i])
-                found = extend(i + 1, left - 1, once | masks[i], twice | (once & masks[i]), members | bits[i])
-                chosen.pop()
-                if found is not None:
-                    return found
-                continue
+        for c, bit, last in run:
             nodes += 1
-            c = masks[i]
             if once | c != full:
                 continue
-            if double and twice | (once & c) | members | bits[i] != full:
+            if double and twice | (once & c) | members | bit != full:
                 continue
-            if connected and not _members_connected(cover, members | bits[i]):
+            if connected and not _members_connected(cover, members | bit):
                 continue
-            candidate = forced.union(chosen, (free[i],))
-            if check(graph, candidate):
+            candidate = forced.union(chosen, last)
+            if failure_reason(graph, variant, candidate) is None:
                 return candidate
+        return None
+
+    def extend(first: int, left: int, once: int, twice: int, members: int) -> frozenset[int] | None:
+        stop, end = first, len(free) - left
+        while (
+            stop <= end
+            and once | rest[stop] == full
+            and (not double or twice | members | (once & rest[stop]) | rest2[stop] == full)
+        ):
+            stop += 1
+        if left == 1:
+            return leaves(once, twice, members, picks[first:stop])
+        for i in range(first, stop):
+            chosen.append(free[i])
+            found = extend(i + 1, left - 1, once | masks[i], twice | (once & masks[i]), members | bits[i])
+            chosen.pop()
+            if found is not None:
+                return found
         return None
 
     for size in range(lower, graph.n + 1):
@@ -224,13 +237,7 @@ def _bitset_search(
         if need > 0:
             found = extend(0, need, base_once, base_twice, base_members)
         elif need == 0:
-            nodes += 1
-            covered = (
-                base_once == full
-                and (not double or base_twice | base_members == full)
-                and (not connected or _members_connected(cover, base_members))
-            )
-            found = forced if covered and check(graph, forced) else None
+            found = leaves(base_once, base_twice, base_members, [(0, 0, ())])  # no pick: forced alone
         else:
             continue
         if found is not None:

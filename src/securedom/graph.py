@@ -97,16 +97,6 @@ class Graph(NamedTuple):
         self._check_vertex(v)
         return frozenset(self.adj[v])
 
-    def closed_neighborhood(self, vertices: Iterable[int]) -> frozenset[int]:
-        """The given set together with every neighbor of one of its members."""
-        out: set[int] = set()
-        adj = self.adj
-        for v in vertices:
-            self._check_vertex(v)
-            out.add(v)
-            out.update(adj[v])
-        return frozenset(out)
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)

@@ -66,6 +66,8 @@ def gamma(
     the complete-graph shortcut, then the block formula, then the threshold
     formula, moving on when one raises DomainError (wrong class or
     disconnected); the exact search takes the rest and reports any refusal.
+    A graph with fewer than n - 1 edges cannot be connected, so ``auto``
+    skips both formulas for it.
     """
     if method not in METHODS:
         from .graph import DomainError
@@ -82,14 +84,15 @@ def gamma(
     if method == "auto" and variant == "scds" and graph.n >= 1:
         if graph.is_complete():
             return trivial_complete(time.perf_counter())
-        from .fast import gamma_sc_block, gamma_sc_threshold
-        from .graph import DomainError
+        if graph.m >= graph.n - 1:
+            from .fast import gamma_sc_block, gamma_sc_threshold
+            from .graph import DomainError
 
-        for formula in (gamma_sc_block, gamma_sc_threshold):
-            try:
-                return formula(graph)
-            except DomainError:
-                pass
+            for formula in (gamma_sc_block, gamma_sc_threshold):
+                try:
+                    return formula(graph)
+                except DomainError:
+                    pass
     from .exact import solve
 
     return solve(graph, variant, max_n=max_n)

@@ -7,7 +7,7 @@ base property.
 
 ``failure_reason`` is the one check: it tests coverage, a non-empty set,
 connectivity and the swap rules in that order, and every boolean checker,
-``CHECKERS`` and ``check_variant`` reads its verdict.  It never rebuilds
+``check_variant`` and the exact search read its verdict.  It never rebuilds
 S: after the base check it applies local swap rules (Cockayne et al.,
 Protection of a graph, Util. Math. 67, 2005) in near-linear time.
 Swapping v for u keeps S dominating iff every vertex whose only member in
@@ -17,7 +17,6 @@ connected dominating iff the first rule holds and u touches every component
 of G[S - v], read from one lowpoint DFS of G[S] (Hopcroft and Tarjan, CACM
 16(6), 1973): ``graph.lowpoint_walk``, the walk that block recognition and
 block decomposition in ``fast`` run on the whole graph.
-``is_scds_characterization`` is another name for the fast ``is_scds``.
 
 The literal swap loop ``_swap_check`` and its wrappers ``is_scds_definition``
 and ``is_stds`` rebuild S for every pair and re-run the whole-graph check;
@@ -110,17 +109,12 @@ def epn(graph: Graph, v: int, members: Iterable[int]) -> frozenset[int]:
 
 
 def _swap_check(
-    graph: Graph,
-    s: set[int],
-    keeps_property: Callable[[Graph, set[int]], bool],
-    exhaustive: bool = True,
+    graph: Graph, s: set[int], keeps_property: Callable[[Graph, set[int]], bool]
 ) -> tuple[bool, DefenderMap]:
     """Common swap loop for the secure variants.
 
     For each outside u, collect defenders v in S adjacent to u whose swap
-    preserves ``keeps_property``.  With exhaustive=False, stop scanning a
-    vertex's candidates at the first valid defender (the boolean answer is
-    unaffected; only the map is abbreviated).
+    preserves ``keeps_property``.
     """
     defenders: dict[int, frozenset[int]] = {}
     ok = True
@@ -136,8 +130,6 @@ def _swap_check(
             swapped.add(u)
             if keeps_property(graph, swapped):
                 valid.add(v)
-                if not exhaustive:
-                    break
         defenders[u] = frozenset(valid)
         if not valid:
             ok = False
@@ -311,11 +303,6 @@ def is_scds(graph: Graph, members: Iterable[int]) -> bool:
     return failure_reason(graph, "scds", members) is None
 
 
-# The component-adjacency characterization is exactly the scds swap rule of
-# _first_undefended, so the name now denotes the one fast checker.
-is_scds_characterization = is_scds
-
-
 def is_stds(graph: Graph, members: Iterable[int]) -> tuple[bool, DefenderMap]:
     """Literal secure-total check: S is a total dominating set and every
     outside vertex has a swap preserving total domination."""
@@ -323,22 +310,6 @@ def is_stds(graph: Graph, members: Iterable[int]) -> tuple[bool, DefenderMap]:
     if not s or not is_total_dominating(graph, s):
         return False, DefenderMap(defenders={})
     return _swap_check(graph, s, is_total_dominating)
-
-
-def _is_stds(graph: Graph, members: Iterable[int]) -> bool:
-    return failure_reason(graph, "stds", members) is None
-
-
-# The boolean checker of each variant, read by the exact search.  Keep it a
-# module-level dict: the benchmark tracer wraps its values.
-CHECKERS: dict[str, Callable[[Graph, Iterable[int]], bool]] = {
-    "ds": is_dominating,
-    "cds": is_connected_dominating,
-    "tds": is_total_dominating,
-    "sds": is_secure_dominating,
-    "scds": is_scds,
-    "stds": _is_stds,
-}
 
 
 def check_variant(graph: Graph, variant: str, members: Iterable[int]) -> bool:

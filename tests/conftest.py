@@ -25,6 +25,12 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     )
 
 
+def closed_neighborhood(graph: Graph, vertices) -> frozenset[int]:
+    """The given set together with every neighbor of one of its members."""
+    members = frozenset(vertices)
+    return members.union(*(graph.neighbors(v) for v in members))
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

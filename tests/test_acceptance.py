@@ -21,7 +21,7 @@ from securedom import (
     gamma_sc_block,
     gamma_sc_threshold,
     is_block_graph,
-    is_scds_characterization,
+    is_scds,
     is_scds_definition,
     random_graph,
     random_split_graph,
@@ -128,7 +128,7 @@ def test_criterion_6_checker_equivalence_is_exhaustive_to_n6():
                 for combo in combinations(range(n), size):
                     s = frozenset(combo)
                     pairs += 1
-                    if is_scds_definition(g, s)[0] != is_scds_characterization(g, s):
+                    if is_scds_definition(g, s)[0] != is_scds(g, s):
                         disagreements.append((n, g.edges(), sorted(s)))
     elapsed = time.perf_counter() - start
     detail = f"{graphs} graphs, {pairs} subsets, {len(disagreements)} disagreements, {elapsed:.1f}s"

@@ -367,6 +367,30 @@ def test_check_equivalence_refuses_oversized_output(graph_file, capsys):
     assert "refused" in err
 
 
+def test_gamma_refuses_family_and_file_input_together(graph_file, capsys):
+    code, out, err = run(capsys, "gamma", "--family", "ladder", "--n", "3", "--in", graph_file(BOWTIE))
+    assert code == 2
+    assert out == ""
+    assert err == "error: pass either --in FILE or --family KIND --n N, not both\n"
+
+
+def test_gamma_on_a_header_with_too_few_edges_is_refused_before_any_formula(tmp_path):
+    # p 9999999 1 cannot be connected, so auto goes straight to the exact
+    # search's size refusal; the block formula used to run out of memory
+    # under a 512 MiB address-space limit first.
+    path = tmp_path / "header.el"
+    path.write_text("p 9999999 1\n0 1\n")
+    result = run_python(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from securedom.cli import main\n"
+        f"print(main(['gamma', '--in', {str(path)!r}]))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "2"
+    assert result.stderr == "error: exact search refused for n=9999999 > 20; raise max_n to override\n"
+
+
 def test_gamma_without_input_is_a_domain_error(capsys):
     code, _, err = run(capsys, "gamma")
     assert code == 2

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import closed_neighborhood
 from securedom import DomainError, Graph, exact, solve, verify
 from securedom.crosscheck import random_block_graph, random_graph
 from securedom.graph import lowpoint_walk
@@ -53,7 +54,7 @@ def _old_is_connected_dominating(graph: Graph, members) -> bool:
 def _old_connectivity_reason(graph: Graph, variant: str, members) -> str | None:
     s = frozenset(members)
     if variant in ("ds", "cds", "sds", "scds") and not verify.is_dominating(graph, s):
-        covered = graph.closed_neighborhood(s)
+        covered = closed_neighborhood(graph, s)
         missed = min(v for v in range(graph.n) if v not in covered)
         return f"vertex {missed} is not dominated"
     if not s:
@@ -121,7 +122,7 @@ PRIOR_CHECKERS = {
 
 def _prior_failure_reason(graph: Graph, variant: str, s) -> str | None:
     if variant in ("ds", "cds", "sds", "scds") and not _prior_is_dominating(graph, s):
-        covered = graph.closed_neighborhood(s)
+        covered = closed_neighborhood(graph, s)
         missed = min(v for v in range(graph.n) if v not in covered)
         return f"vertex {missed} is not dominated"
     if variant in ("cds", "scds"):
@@ -211,7 +212,6 @@ def test_one_composed_check_matches_the_checks_it_replaced():
                 case = (g.n, g.edges(), sorted(s), variant)
                 assert verify.failure_reason(g, variant, s) == reason, case
                 assert verify.check_variant(g, variant, s) == verdict, case
-                assert verify.CHECKERS[variant](g, s) == verdict, case
                 rejected[variant] += reason is not None
     assert min(rejected.values()) > 0
 
@@ -234,14 +234,13 @@ def test_connectivity_filter_changes_neither_answers_nor_candidate_counts(monkey
 
 def test_the_checker_sees_only_connected_candidates(monkeypatch):
     checked = []
-    for variant in ("cds", "scds"):
-        check = verify.CHECKERS[variant]
 
-        def record(graph, members, check=check):
+    def record(graph, variant, members):
+        if variant in ("cds", "scds"):
             checked.append((graph, members))
-            return check(graph, members)
+        return verify.failure_reason(graph, variant, members)
 
-        monkeypatch.setitem(verify.CHECKERS, variant, record)
+    monkeypatch.setattr(exact, "failure_reason", record)
     # the path 0-1-2-3-4 included: its forced set {0, 1, 3, 4} dominates every
     # vertex twice but is disconnected, so no candidate reaches the checker
     for g in CORPUS:
@@ -277,12 +276,12 @@ CANDIDATES_BEFORE_THE_CUT = {
 }
 
 
-def _plain_walk(g: Graph, variant: str, check):
-    """The sets a search with no branch cut hands to ``check``: every
+def _plain_walk(g: Graph, variant: str):
+    """The sets a search with no branch cut hands to the check: every
     combination of the free vertices in plain order, by size from the
     search's lower bound, joined with its forced set and passed through the
     three leaf filters (domination, two member neighbours for every outside
-    vertex, connectivity).  Returns them and the first that ``check`` accepts."""
+    vertex, connectivity).  Returns them and the first that the check accepts."""
     forced, lower = frozenset(), 1
     if variant == "scds":
         if g.is_complete():
@@ -305,28 +304,26 @@ def _plain_walk(g: Graph, variant: str, check):
             if variant in ("cds", "scds") and g.components(restrict=s).count != 1:
                 continue
             checked.append(s)
-            if check(g, s):
+            if verify.check_variant(g, variant, s):
                 return checked, s
     raise AssertionError(f"no {variant} certificate for {g.edges()}")
 
 
 def test_branch_cuts_hand_the_checker_the_plain_walks_sets(monkeypatch):
-    checkers = dict(verify.CHECKERS)
     log = []
-    for variant, check in checkers.items():
 
-        def record(graph, members, variant=variant, check=check):
-            log.append((variant, members))
-            return check(graph, members)
+    def record(graph, variant, members):
+        log.append((variant, members))
+        return verify.failure_reason(graph, variant, members)
 
-        monkeypatch.setitem(verify.CHECKERS, variant, record)
+    monkeypatch.setattr(exact, "failure_reason", record)
     small, seeded = _cut_corpus()
     counts = {variant: [] for variant in CANDIDATES_BEFORE_THE_CUT}
     for g in small + seeded:
         for variant in VARIANTS:
             if g.n < 2 and variant in ("tds", "stds"):
                 continue
-            expected, witness = _plain_walk(g, variant, checkers[variant])
+            expected, witness = _plain_walk(g, variant)
             log.clear()
             report = solve(g, variant)
             assert [s for v, s in log if v == variant] == expected, (g.edges(), variant)

@@ -12,6 +12,7 @@ from conftest import (
     bench_block_graph,
     bench_threshold_graph,
     bowtie_graph,
+    closed_neighborhood,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -266,7 +267,7 @@ def test_threshold_ordering_chains_nest():
         ordering = recognize_threshold(g)
         xs = ordering.clique_order
         for a, b in zip(xs, xs[1:]):
-            assert g.closed_neighborhood({a}) <= g.closed_neighborhood({b})
+            assert closed_neighborhood(g, {a}) <= closed_neighborhood(g, {b})
         ys = ordering.independent_order
         for a, b in zip(ys, ys[1:]):
             assert g.neighbors(b) <= g.neighbors(a)

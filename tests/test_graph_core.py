@@ -172,13 +172,6 @@ def test_neighbors():
         path_graph(3).neighbors(3)
 
 
-def test_closed_neighborhood():
-    p4 = path_graph(4)
-    assert p4.closed_neighborhood({1}) == {0, 1, 2}
-    assert p4.closed_neighborhood(range(4)) == {0, 1, 2, 3}
-    assert bowtie_graph().closed_neighborhood({2}) == {0, 1, 2, 3, 4}
-
-
 def test_components_full_and_restricted():
     p4 = path_graph(4)
     assert p4.components().count == 1

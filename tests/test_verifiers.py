@@ -20,7 +20,7 @@ from securedom import (
     epn,
     is_connected_dominating,
     is_dominating,
-    is_scds_characterization,
+    is_scds,
     is_scds_definition,
     is_secure_dominating,
     is_stds,
@@ -28,14 +28,7 @@ from securedom import (
 )
 from securedom.families import FamilySpec, generate
 from securedom.crosscheck import random_graph
-from securedom.verify import (
-    CHECKERS,
-    VARIANTS,
-    _swap_check,
-    check_variant,
-    failure_reason,
-    is_scds,
-)
+from securedom.verify import VARIANTS, _swap_check, check_variant, failure_reason
 
 
 def ladder3():
@@ -88,10 +81,10 @@ def test_scds_definition_examples():
 
 
 def test_scds_characterization_examples():
-    assert is_scds_characterization(complete_graph(4), {0})
-    assert not is_scds_characterization(path_graph(4), {1, 2})
+    assert is_scds(complete_graph(4), {0})
+    assert not is_scds(path_graph(4), {1, 2})
     # one-member sets are secure exactly on complete graphs
-    assert not is_scds_characterization(path_graph(3), {1})
+    assert not is_scds(path_graph(3), {1})
 
 
 def test_is_secure_dominating():
@@ -117,7 +110,7 @@ def test_checkers_agree_on_all_subsets_of_small_connected_graphs():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
             for s in all_subsets(n):
-                assert is_scds_definition(g, s)[0] == is_scds_characterization(g, s)
+                assert is_scds_definition(g, s)[0] == is_scds(g, s)
 
 
 def test_secure_connected_and_total_sets_cover_outside_vertices_twice():
@@ -197,7 +190,7 @@ def _assert_fast_matches_literal(g, s, counts):
         if not s and variant == "stds" or not base(g, s):
             continue
         counts[variant] += 1
-        ok, dmap = _swap_check(g, set(s), base, exhaustive=False)
+        ok, dmap = _swap_check(g, set(s), base)
         expected = None if ok else f"vertex {dmap.undefended()[0]} has no valid defender"
         case = (g.n, g.edges(), sorted(s), variant)
         assert check_variant(g, variant, s) == ok, case
@@ -222,11 +215,6 @@ def test_local_swap_rules_match_literal_swap_loop_on_seeded_gnp():
         for s in all_subsets(n):
             _assert_fast_matches_literal(g, s, counts)
     assert min(counts.values()) > 0
-
-
-def test_characterization_is_the_fast_checker():
-    assert is_scds_characterization is is_scds
-    assert CHECKERS["scds"] is is_scds
 
 
 def test_checks_run_a_bounded_number_of_whole_graph_base_checks(monkeypatch):
@@ -260,13 +248,12 @@ def test_checks_run_a_bounded_number_of_whole_graph_base_checks(monkeypatch):
 
 
 def test_checker_table_covers_every_variant():
-    assert tuple(CHECKERS) == VARIANTS
     with pytest.raises(DomainError, match="unknown variant 'xds'"):
         check_variant(path_graph(3), "xds", {1})
 
 
 # The public boolean of each variant; the literal stds check is the public one
-# for stds, whose fast checker is reached through CHECKERS.
+# for stds, whose fast checker is reached through check_variant.
 PUBLIC_CHECKS = {
     "ds": is_dominating,
     "cds": is_connected_dominating,
@@ -286,7 +273,6 @@ def test_members_outside_the_range_raise_the_graphs_range_error(g):
             for check in (
                 lambda: check_variant(g, variant, members),
                 lambda: failure_reason(g, variant, members),
-                lambda: CHECKERS[variant](g, members),
                 lambda: PUBLIC_CHECKS[variant](g, members),
             ):
                 with pytest.raises(DomainError, match=outside):
@@ -299,7 +285,7 @@ def test_checkers_are_total_on_disconnected_graphs():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected_dominating(g, {0, 1})
     assert not is_scds_definition(g, {0, 2})[0]
-    assert not is_scds_characterization(g, {0, 2})
+    assert not is_scds(g, {0, 2})
     assert is_dominating(g, {0, 2})
 
 
@@ -320,4 +306,4 @@ def graph_and_subset(draw, max_n: int = 7):
 @given(graph_and_subset())
 def test_checkers_agree_on_random_inputs(case):
     g, s = case
-    assert is_scds_definition(g, s)[0] == is_scds_characterization(g, s)
+    assert is_scds_definition(g, s)[0] == is_scds(g, s)
