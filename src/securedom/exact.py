@@ -164,8 +164,8 @@ def _bitset_search(
       order.
 
     Both cuts end a depth's loop, not just the branch: ``rest`` and
-    ``rest2`` only shrink as i grows, so each depth scans for its first cut
-    and walks the picks before it.  Returns the witness, or None when no
+    ``rest2`` only shrink as i grows.  At the last depth the loop only
+    finds that end, and the picks before it go to ``leaves``.  Returns the witness, or None when no
     size up to n has one, and the number of full-size candidates the walk
     reached.
     """
@@ -191,7 +191,7 @@ def _bitset_search(
     connected = variant in ("cds", "scds")
     chosen: list[int] = []
     # picks[i]: the mask, bit and vertex tuple that adding free[i] contributes
-    picks = [(masks[i], bits[i], (free[i],)) for i in range(len(free))]
+    picks = list(zip(masks, bits, [(v,) for v in free]))
 
     def leaves(
         once: int, twice: int, members: int, run: list[tuple[int, int, tuple[int, ...]]]
@@ -214,22 +214,18 @@ def _bitset_search(
         return None
 
     def extend(first: int, left: int, once: int, twice: int, members: int) -> frozenset[int] | None:
-        stop, end = first, len(free) - left
-        while (
-            stop <= end
-            and once | rest[stop] == full
-            and (not double or twice | members | (once & rest[stop]) | rest2[stop] == full)
-        ):
-            stop += 1
-        if left == 1:
-            return leaves(once, twice, members, picks[first:stop])
+        stop = len(free) - left + 1
         for i in range(first, stop):
-            chosen.append(free[i])
-            found = extend(i + 1, left - 1, once | masks[i], twice | (once & masks[i]), members | bits[i])
-            chosen.pop()
-            if found is not None:
-                return found
-        return None
+            if once | rest[i] != full or (double and twice | members | (once & rest[i]) | rest2[i] != full):
+                stop = i
+                break
+            if left > 1:
+                chosen.append(free[i])
+                found = extend(i + 1, left - 1, once | masks[i], twice | (once & masks[i]), members | bits[i])
+                chosen.pop()
+                if found is not None:
+                    return found
+        return leaves(once, twice, members, picks[first:stop]) if left == 1 else None
 
     for size in range(lower, graph.n + 1):
         need = size - len(forced)
