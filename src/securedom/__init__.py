@@ -16,7 +16,7 @@ _EXPORTS = {
         "random_threshold_graph",
         "random_tree",
     ),
-    "exact": ("canonical_form", "enumerate_connected_graphs", "solve"),
+    "exact": ("enumerate_connected_graphs", "solve"),
     "families": ("FAMILY_KINDS", "FamilySpec", "formula_value", "formula_witness", "generate"),
     "fast": (
         "BlockDecomposition",

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse errors, 2 domain errors (wrong graph class,
-disconnected input, bad flags), 3 crosscheck mismatches, 4 internal errors
-(an answer that failed its own re-verification or a broken solver
-invariant, reported as "internal error: ..." on stderr).  JSON output is
-sorted-key and deterministic for a fixed config and seed, apart from the
-elapsed_ms field.
+disconnected input, bad flags, an input too large for the available
+memory), 3 crosscheck mismatches, 4 internal errors (an answer that failed
+its own re-verification or a broken solver invariant, reported as
+"internal error: ..." on stderr).  JSON output is sorted-key and
+deterministic for a fixed config and seed, apart from the elapsed_ms
+field.
 
 A command runs with the cyclic garbage collector paused (its data is
 acyclic, so reference counting frees it) and prints library warnings as
@@ -384,6 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input is too large for the available memory", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -239,18 +239,11 @@ def threshold_grid(count: int = 50, max_n: int = 13, seed: int = DEFAULT_SEED) -
     return results
 
 
-# Kinds whose threshold equivalence provably holds for every admissible
+# The doubled-bipartite kinds are measured, not gated.  Every other kind is
+# gated: its threshold equivalence provably holds for every admissible
 # source (the double-domination and forced-gadget arguments), so any sweep
-# mismatch means an implementation bug.
-GATED_REDUCTION_KINDS = (
-    "dm_to_scdm",
-    "dm_to_stdm",
-    "dm_split_to_scdm_split",
-    "dm_split_to_stdm_split",
-)
-
-# The doubled-bipartite kinds are measured, not gated: brute force refutes
-# their claimed equivalence in both directions.  Complete sources break the
+# mismatch means an implementation bug.  Brute force refutes the measured
+# kinds' claimed equivalence in both directions.  Complete sources break the
 # forward map (a one-vertex certificate's mirror is stranded after its only
 # defender swaps out, so the target optimum is 4 while the shifted threshold
 # allows 3), and sources whose certificates lean on hard-to-defend vertices

@@ -5,21 +5,19 @@ in lexicographic order, returning the first certificate found.  That makes
 the reported witness the lexicographically least minimum witness, so results
 are bit-stable across runs.
 
-The pruned search (forced vertices, lower bounds, the complete-graph
-shortcut) walks those candidates depth first as Python-int vertex masks,
-carrying the prefix cover and double cover of the chosen members.  A branch
-that cannot dominate even with every remaining vertex is cut, and so, for
-scds and stds sets of two or more, is a branch that cannot give every
-outside vertex two member neighbours.  A full-size candidate reaches the
-variant's checker only if it dominates, for cds and scds induces a
-connected subgraph, and, for scds and stds sets of two or more, covers
-every outside vertex twice (see ``_bitset_search`` for why these cuts and
-filters only drop sets the checker would reject).  The checker is
-``verify.failure_reason``, and every returned witness has passed it.
-Pruning can be disabled for soundness cross-checks: the search then feeds
-every subset straight to the checker.  The complete-graph report is built by
-``report.trivial_complete``, which the linear-time solvers and the
-``auto`` dispatch ``report.gamma`` share.
+The search (forced vertices, lower bounds, the complete-graph shortcut)
+walks those candidates depth first as Python-int vertex masks, carrying
+the prefix cover and double cover of the chosen members.  A branch that
+cannot dominate even with every remaining vertex is cut, and so, for scds
+and stds sets of two or more, is a branch that cannot give every outside
+vertex two member neighbours.  A full-size candidate reaches the variant's
+checker only if it dominates, for cds and scds induces a connected
+subgraph, and, for scds and stds sets of two or more, covers every outside
+vertex twice (see ``_bitset_search`` for why these cuts and filters only
+drop sets the checker would reject).  The checker is
+``verify.failure_reason``, and every returned witness has passed it.  The
+complete-graph report is built by ``report.trivial_complete``, which the
+linear-time solvers and the ``auto`` dispatch ``report.gamma`` share.
 
 Also houses the small-graph isomorphism-class enumerator (a brute-force
 relabeling table over Python ints).
@@ -46,7 +44,6 @@ def solve(
     variant: str,
     *,
     max_n: int | None = DEFAULT_MAX_N,
-    use_pruning: bool = True,
 ) -> SolveReport:
     """Minimum certificate size and lexicographically least witness.
 
@@ -54,15 +51,12 @@ def solve(
     vertices for tds/stds.  Graphs larger than ``max_n`` are refused (the
     search is exponential); pass ``max_n=None`` to override.
 
-    With ``use_pruning`` the secure-connected search short-circuits complete
-    graphs, forces leaves and supports into every candidate (n >= 3), and
-    starts at max(1 + domination number, forced-set size); the secure-total
-    search starts at the total domination number.  The pruned candidates
-    are walked as bitsets in the same order, with two branch cuts, two
-    cover filters and a connectivity filter in front of the checker
-    (``_bitset_search``).  Disabling pruning passes every subset from size
-    1, in combinations order, straight to the checker, for soundness
-    cross-checks.
+    The secure-connected search short-circuits complete graphs, forces
+    leaves and supports into every candidate (n >= 3), and starts at
+    max(1 + domination number, forced-set size); the secure-total search
+    starts at the total domination number.  The candidates are walked as
+    bitsets in combinations order, with two branch cuts, two cover filters
+    and a connectivity filter in front of the checker (``_bitset_search``).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -75,26 +69,22 @@ def solve(
         raise DomainError(f"variant {variant} requires a graph without isolated vertices")
 
     start = time.perf_counter()
-    if use_pruning and variant == "scds" and graph.is_complete():
+    if variant == "scds" and graph.is_complete():
         return trivial_complete(start)
 
     forced: frozenset[int] = frozenset()
     lower = 1
-    if use_pruning:
-        if variant == "scds":
-            # Non-complete from here on: one below the optimum is still
-            # dominating, and every leaf and support is mandatory.
-            gamma = solve(graph, "ds", max_n=max_n).value
-            if graph.n >= 3:
-                forced = graph.leaves() | graph.supports()
-            lower = max(1 + gamma, len(forced))
-        elif variant == "stds":
-            lower = solve(graph, "tds", max_n=max_n).value
+    if variant == "scds":
+        # Non-complete from here on: one below the optimum is still
+        # dominating, and every leaf and support is mandatory.
+        gamma = solve(graph, "ds", max_n=max_n).value
+        if graph.n >= 3:
+            forced = graph.leaves() | graph.supports()
+        lower = max(1 + gamma, len(forced))
+    elif variant == "stds":
+        lower = solve(graph, "tds", max_n=max_n).value
 
-    if use_pruning:
-        witness, nodes = _bitset_search(graph, variant, forced, lower)
-    else:
-        witness, nodes = _plain_search(graph, variant)
+    witness, nodes = _bitset_search(graph, variant, forced, lower)
     if witness is None:
         raise RuntimeError(f"no {variant} certificate up to size n; preconditions violated?")
     return SolveReport(
@@ -113,18 +103,6 @@ def refuse_oversized(n: int, max_n: int | None = DEFAULT_MAX_N) -> None:
         raise DomainError(f"exact search refused for n={n} > {max_n}; raise max_n to override")
 
 
-def _plain_search(graph: Graph, variant: str) -> tuple[frozenset[int] | None, int]:
-    """Every subset by size, then in combinations order, straight into the
-    variant's check."""
-    nodes = 0
-    for size in range(1, graph.n + 1):
-        for combo in combinations(range(graph.n), size):
-            nodes += 1
-            if failure_reason(graph, variant, frozenset(combo)) is None:
-                return frozenset(combo), nodes
-    return None, nodes
-
-
 def _bitset_search(
     graph: Graph, variant: str, forced: frozenset[int], lower: int
 ) -> tuple[frozenset[int] | None, int]:
@@ -141,7 +119,7 @@ def _bitset_search(
     walk hands it each run of last picks that survives the branch cuts, and
     the forced set alone when that has the size sought.  The filters only
     drop sets that the check rejects, so the first survivor it accepts is
-    the first certificate in the plain order:
+    the first certificate in combinations order:
 
     - every variant dominates (totally for tds and stds), so a branch is cut
       as soon as ``once`` together with the masks of every later free vertex
@@ -259,7 +237,6 @@ def _members_connected(cover: list[int], members: int) -> bool:
 # -- small-graph enumeration up to isomorphism ----------------------------
 
 ENUMERATION_LIMIT = 6
-CANONICAL_LIMIT = 8
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +248,8 @@ def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
 def _permutation_powers(n: int) -> tuple[tuple[int, ...], ...]:
     """Row r maps edge slot i to 2**(slot of the edge under permutation r).
 
-    Rows share the dict's int objects, so the 8! rows at n=8 hold pointers
-    rather than a million separate ints.
+    Rows share the dict's int objects, so the n! rows hold pointers rather
+    than separate ints.
     """
     slots = _edge_slots(n)
     power = {e: 1 << i for i, e in enumerate(slots)}
@@ -288,27 +265,9 @@ def _relabelings(n: int, mask: int) -> Iterator[int]:
     return (sum(row[i] for i in bits) for row in _permutation_powers(n))
 
 
-def _mask_of(graph: Graph) -> int:
-    index = {e: i for i, e in enumerate(_edge_slots(graph.n))}
-    mask = 0
-    for e in graph.edges():
-        mask |= 1 << index[e]
-    return mask
-
-
 def _graph_of_mask(n: int, mask: int) -> Graph:
     slots = _edge_slots(n)
     return Graph.from_edges(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
-
-
-def canonical_form(graph: Graph) -> tuple[int, int]:
-    """Isomorphism-invariant key (n, minimized edge bitmask over relabelings).
-
-    Brute-forces all n! relabelings, so it is restricted to n <= 8.
-    """
-    if graph.n > CANONICAL_LIMIT:
-        raise DomainError(f"canonical form is brute force; n={graph.n} > {CANONICAL_LIMIT}")
-    return graph.n, min(_relabelings(graph.n, _mask_of(graph)))
 
 
 @lru_cache(maxsize=None)

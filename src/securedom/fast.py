@@ -212,6 +212,19 @@ def _induced_edges(graph: Graph, vertices: tuple[int, ...]) -> list[tuple[int, i
     return [(u, v) for u, v in combinations(vertices, 2) if graph.has_edge(u, v)]
 
 
+def _is_cycle(vertices: tuple[int, ...], edges: list[tuple[int, int]]) -> bool:
+    """Whether ``edges`` on the k = 4 or 5 ``vertices`` are k edges with every
+    vertex of degree 2: a 2-regular graph, and the only one on four or five
+    vertices is the k-cycle."""
+    if len(edges) != len(vertices):
+        return False
+    degs = dict.fromkeys(vertices, 0)
+    for u, v in edges:
+        degs[u] += 1
+        degs[v] += 1
+    return all(d == 2 for d in degs.values())
+
+
 def _find_split_obstruction(graph: Graph) -> tuple[str, tuple[int, ...]] | None:
     """Search small induced obstructions (2K2, C4, C5); feasible for n <= 30."""
     if graph.n > 30:
@@ -220,24 +233,11 @@ def _find_split_obstruction(graph: Graph) -> tuple[str, tuple[int, ...]] | None:
         edges = _induced_edges(graph, quad)
         if len(edges) == 2 and len({v for e in edges for v in e}) == 4:
             return "2K2", quad
-        if len(edges) == 4:
-            degs = {v: 0 for v in quad}
-            for u, v in edges:
-                degs[u] += 1
-                degs[v] += 1
-            if all(d == 2 for d in degs.values()):
-                return "C4", quad
+        if _is_cycle(quad, edges):
+            return "C4", quad
     for quint in combinations(range(graph.n), 5):
-        edges = _induced_edges(graph, quint)
-        if len(edges) == 5:
-            degs = {v: 0 for v in quint}
-            for u, v in edges:
-                degs[u] += 1
-                degs[v] += 1
-            # Five vertices of degree 2 on five edges form a 2-regular
-            # graph, and the only one on five vertices is C5.
-            if all(d == 2 for d in degs.values()):
-                return "C5", quint
+        if _is_cycle(quint, _induced_edges(graph, quint)):
+            return "C5", quint
     return None
 
 

@@ -22,20 +22,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import DomainError, Graph
+from .names import REDUCTION_KINDS
 
 # The split helpers load with the split kinds and the exact search with
 # check_equivalence, so the universal and bipartite builders run without them.
 if TYPE_CHECKING:
     from .fast import SplitPartition
-
-REDUCTION_KINDS = {
-    "dm_to_scdm": ("ds", "scds", 1),
-    "dm_to_stdm": ("ds", "stds", 1),
-    "scdm_to_scdb": ("scds", "scds", 2),
-    "stdm_to_stdb": ("scds", "stds", 2),
-    "dm_split_to_scdm_split": ("ds", "scds", 2),
-    "dm_split_to_stdm_split": ("ds", "stds", 2),
-}
 
 _UNIVERSAL_KINDS = ("dm_to_scdm", "dm_to_stdm")
 _BIPARTITE_KINDS = ("scdm_to_scdb", "stdm_to_stdb")

@@ -26,11 +26,12 @@ METHOD_TRIVIAL = "trivial_complete"
 class SolveReport(NamedTuple):
     """Result of a minimum-domination computation.
 
-    nodes_explored counts the full-size candidates the reported search
-    reached: with pruning, those the bitset walk arrives at after its branch
-    cut, whether or not they pass the cover filters; without, every subset
-    passed to the checker.  Bound-estimation sub-solves are not included.
-    The count is deterministic.  elapsed is wall time in seconds.
+    nodes_explored counts the full-size candidates the exact search
+    reached: those the bitset walk arrives at after its branch cuts,
+    whether or not they pass the cover filters, and 0 for the formulas and
+    the complete-graph shortcut.  Bound-estimation sub-solves are not
+    included.  The count is deterministic.  elapsed is wall time in
+    seconds.
     """
 
     variant: str
@@ -69,14 +70,12 @@ def gamma(
     A graph with fewer than n - 1 edges cannot be connected, so ``auto``
     skips both formulas for it.
     """
-    if method not in METHODS:
-        from .graph import DomainError
+    from .graph import DomainError
 
+    if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
     if method in ("block", "threshold"):
         if variant != "scds":
-            from .graph import DomainError
-
             raise DomainError(f"the {method} formula computes the scds variant only")
         from .fast import gamma_sc_block, gamma_sc_threshold
 
@@ -86,7 +85,6 @@ def gamma(
             return trivial_complete(time.perf_counter())
         if graph.m >= graph.n - 1:
             from .fast import gamma_sc_block, gamma_sc_threshold
-            from .graph import DomainError
 
             for formula in (gamma_sc_block, gamma_sc_threshold):
                 try:

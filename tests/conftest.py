@@ -1,4 +1,5 @@
-"""Shared small-graph builders for the test suite."""
+"""Shared small-graph builders and reference implementations for the test
+suite."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from securedom import Graph
+from securedom import Graph, exact
+from securedom.verify import failure_reason
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,6 +31,24 @@ def closed_neighborhood(graph: Graph, vertices) -> frozenset[int]:
     """The given set together with every neighbor of one of its members."""
     members = frozenset(vertices)
     return members.union(*(graph.neighbors(v) for v in members))
+
+
+def plain_solve(graph: Graph, variant: str) -> tuple[int, frozenset[int]]:
+    """The exact search's reference: every subset by size, then in
+    combinations order, straight into the variant's check.  The first one
+    accepted is a minimum certificate and the lexicographically least."""
+    for size in range(1, graph.n + 1):
+        for combo in combinations(range(graph.n), size):
+            if failure_reason(graph, variant, frozenset(combo)) is None:
+                return size, frozenset(combo)
+    raise AssertionError(f"no {variant} certificate up to size n")
+
+
+def canonical_form(graph: Graph) -> tuple[int, int]:
+    """Isomorphism-invariant key: n and the least edge mask over all n!
+    relabelings, so keep n small."""
+    slot = {e: i for i, e in enumerate(exact._edge_slots(graph.n))}
+    return graph.n, min(exact._relabelings(graph.n, sum(1 << slot[e] for e in graph.edges())))
 
 
 def path_graph(n: int) -> Graph:

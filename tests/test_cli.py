@@ -213,8 +213,9 @@ ABOVE_VERTEX_CAP = [
 
 
 def test_size_parameters_above_the_vertex_cap_are_refused_before_building():
-    # Under a 512 MiB address-space limit, building any of these graphs ends
-    # in a MemoryError rather than exit code 2.
+    # Under a 512 MiB address-space limit, building any of these graphs runs
+    # out of memory, which also exits 2; the cap text shows that each run
+    # was refused before anything was built.
     result = run_python(
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
@@ -236,8 +237,9 @@ ABOVE_EDGE_CAP = [
 
 
 def test_dense_families_above_the_edge_cap_are_refused_before_building():
-    # Under a 512 MiB address-space limit, building K_20000 ends in a
-    # MemoryError rather than exit code 2.
+    # Under a 512 MiB address-space limit, building K_20000 runs out of
+    # memory, which also exits 2; the cap texts show that each run was
+    # refused before anything was built.
     result = run_python(
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
@@ -389,6 +391,42 @@ def test_gamma_on_a_header_with_too_few_edges_is_refused_before_any_formula(tmp_
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "2"
     assert result.stderr == "error: exact search refused for n=9999999 > 20; raise max_n to override\n"
+
+
+# Texts of a few bytes whose per-vertex arrays outgrow 512 MiB: a header
+# that claims 9,999,999 vertices, and one edge to the id 9,999,999.
+TOO_LARGE_FOR_MEMORY = [
+    ("p 9999999 1\n0 1\n", ["recognize"]),
+    ("p 9999999 1\n0 1\n", ["reduce", "--kind", "dm_to_scdm", "--param", "1"]),
+    ("0 9999999\n", ["recognize"]),
+    ("0 9999999\n", ["verify", "--set", "0"]),
+    ("0 9999999\n", ["gamma"]),
+]
+
+
+def test_inputs_too_large_for_memory_exit_2_without_a_traceback(tmp_path):
+    runs = []
+    for i, (text, argv) in enumerate(TOO_LARGE_FOR_MEMORY):
+        path = tmp_path / f"{i}.el"
+        path.write_text(text)
+        runs.append([*argv, "--in", str(path)])
+    result = run_python(
+        "import contextlib, io, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from securedom.cli import main\n"
+        "results = []\n"
+        f"for argv in {runs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        results.append((main(argv), out.getvalue()))\n"
+        "print(results)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr([(2, "")] * len(TOO_LARGE_FOR_MEMORY))
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == (
+        ["error: input is too large for the available memory"] * len(TOO_LARGE_FOR_MEMORY)
+    )
 
 
 def test_gamma_without_input_is_a_domain_error(capsys):

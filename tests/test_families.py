@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from securedom import DomainError, canonical_form, solve
+from conftest import canonical_form
+from securedom import DomainError, solve
 from securedom.families import (
     _EDGE_COUNT,
     _MIN_PARAM,

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import canonical_form
 from securedom import (
     DomainError,
     Graph,
@@ -20,7 +21,6 @@ from securedom import (
     ThresholdOrdering,
     ThresholdRejection,
     block_decompose,
-    canonical_form,
     enumerate_connected_graphs,
     is_bipartite,
     random_block_graph,
