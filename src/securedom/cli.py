@@ -301,11 +301,10 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, text, 0 if passed == len(results) else 3
 
 
-def _add_input_flags(parser: argparse.ArgumentParser, family_ok: bool = True) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--in", dest="input", metavar="FILE", help="edge-list file, '-' for stdin")
-    if family_ok:
-        parser.add_argument("--family", choices=FAMILY_KINDS, help="generate a family member instead of reading a file")
-        parser.add_argument("--n", type=int, default=0, help="family parameter")
+    parser.add_argument("--family", choices=FAMILY_KINDS, help="generate a family member instead of reading a file")
+    parser.add_argument("--n", type=int, default=0, help="family parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each grid imports the solvers and builders it runs when it runs, so one
 # grid's request loads only its own modules.
-from .exact import refuse_oversized, solve
+from .exact import solve
 from .graph import DomainError, Graph
-from .names import DEFAULT_SEED
+from .names import DEFAULT_MAX_N, DEFAULT_SEED
 from .verify import is_dominating, is_scds_definition
 
 if TYPE_CHECKING:
@@ -171,13 +171,15 @@ def _random_grid(
     check: Callable[[int, int], CheckResult],
 ) -> list[CheckResult]:
     """``check(n, seed + i)`` for each i < ``count``, with n cycling through
-    ``smallest``..``max_n`` from an offset set by the seed."""
+    ``smallest``..``max_n`` from an offset set by the seed.  An n above the
+    exact search's cap is refused before its instance is built."""
     if max_n < smallest:
         raise DomainError(f"{grid} grid needs max_n >= {smallest}")
     results = []
     for i in range(count):
         n = smallest + (seed + i) % (max_n - smallest + 1)
-        refuse_oversized(n)  # before the instance is built
+        if n > DEFAULT_MAX_N:
+            raise DomainError(f"{grid} grid refused: instance n={n} is above the exact search cap of {DEFAULT_MAX_N}")
         results.append(check(n, seed + i))
     return results
 

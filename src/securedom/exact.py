@@ -62,7 +62,8 @@ def solve(
         raise DomainError(f"unknown variant {variant!r}")
     if graph.n < 1:
         raise DomainError("graph must have at least one vertex")
-    refuse_oversized(graph.n, max_n)
+    if max_n is not None and graph.n > max_n:
+        raise DomainError(f"exact search refused for n={graph.n} > {max_n}; raise max_n to override")
     if variant in ("cds", "scds", "stds") and not graph.is_connected():
         raise DomainError(f"variant {variant} requires a connected graph")
     if variant in ("tds", "stds") and any(len(a) == 0 for a in graph.adj):
@@ -95,12 +96,6 @@ def solve(
         elapsed=time.perf_counter() - start,
         nodes_explored=nodes,
     )
-
-
-def refuse_oversized(n: int, max_n: int | None = DEFAULT_MAX_N) -> None:
-    """Refuse an exact search over n > ``max_n`` vertices (None: no cap)."""
-    if max_n is not None and n > max_n:
-        raise DomainError(f"exact search refused for n={n} > {max_n}; raise max_n to override")
 
 
 def _bitset_search(

@@ -13,30 +13,14 @@ from typing import NamedTuple
 from .graph import DomainError, Graph, require_edge_count, require_vertex_count
 from .names import FAMILY_KINDS
 
-_MIN_PARAM = {
-    "complete": 1,
-    "subdivided_wheel": 3,
-    "book": 2,
-    "ladder": 3,
-    "star": 2,
-}
-
-# Vertex count of each kind's member for parameter n (see ``generate``).
-_VERTEX_COUNT = {
-    "complete": lambda n: n,
-    "subdivided_wheel": lambda n: 2 * n + 1,
-    "book": lambda n: 2 * n + 2,
-    "ladder": lambda n: 2 * n,
-    "star": lambda n: n + 1,
-}
-
-# Edge count of each kind's member for parameter n.
-_EDGE_COUNT = {
-    "complete": lambda n: n * (n - 1) // 2,
-    "subdivided_wheel": lambda n: 3 * n,
-    "book": lambda n: 3 * n + 1,
-    "ladder": lambda n: 3 * n - 2,
-    "star": lambda n: n,
+# Per kind: the least parameter n, then the vertex and edge counts of the
+# member for parameter n (see ``generate``).
+_SIZES = {
+    "complete": (1, lambda n: n, lambda n: n * (n - 1) // 2),
+    "subdivided_wheel": (3, lambda n: 2 * n + 1, lambda n: 3 * n),
+    "book": (2, lambda n: 2 * n + 2, lambda n: 3 * n + 1),
+    "ladder": (3, lambda n: 2 * n, lambda n: 3 * n - 2),
+    "star": (2, lambda n: n + 1, lambda n: n),
 }
 
 
@@ -55,11 +39,12 @@ class FamilySpec(_Spec):
     def __new__(cls, kind: str, n: int) -> FamilySpec:
         if kind not in FAMILY_KINDS:
             raise DomainError(f"unknown family kind {kind!r}")
-        if n < _MIN_PARAM[kind]:
-            raise DomainError(f"family {kind} needs n >= {_MIN_PARAM[kind]}, got {n}")
+        least, vertices, edges = _SIZES[kind]
+        if n < least:
+            raise DomainError(f"family {kind} needs n >= {least}, got {n}")
         what = f"family {kind} with n={n}"
-        require_vertex_count(_VERTEX_COUNT[kind](n), what)
-        require_edge_count(_EDGE_COUNT[kind](n), what)
+        require_vertex_count(vertices(n), what)
+        require_edge_count(edges(n), what)
         return super().__new__(cls, kind, n)
 
 
@@ -102,7 +87,7 @@ def generate(spec: FamilySpec) -> Graph:
         adj[n], adj[-1] = (0, n + 1), (n - 1, 2 * n - 2)
     else:
         raise DomainError(f"unknown family kind {kind!r}")
-    return Graph(len(adj), tuple(adj), _EDGE_COUNT[kind](n))
+    return Graph(len(adj), tuple(adj), _SIZES[kind][2](n))
 
 
 def formula_value(spec: FamilySpec) -> int:

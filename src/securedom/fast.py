@@ -10,7 +10,9 @@ universal in the remaining graph.  Because removing an isolated vertex
 changes no remaining degree and removing a universal vertex lowers every
 remaining degree by exactly one, the peel runs with two pointers over the
 degree-sorted vertex order and a single removed-universal counter, keeping
-the whole recognition linear apart from the initial sort.
+the whole recognition linear apart from the initial sort.  Both solvers
+return through ``report.formula_report``, which checks that the witness
+size equals the formula's value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .graph import DomainError, Graph, lowpoint_walk
-from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, trivial_complete
+from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, formula_report, trivial_complete
 
 
 class BlockDecomposition(NamedTuple):
@@ -168,16 +170,7 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
         if non_cut:
             witness.add(min(non_cut))
     value = decomp.k + decomp.r - decomp.r_prime
-    if len(witness) != value:
-        raise RuntimeError("block witness size disagrees with the formula")
-    return SolveReport(
-        variant="scds",
-        value=value,
-        witness=frozenset(witness),
-        method=METHOD_BLOCK,
-        elapsed=time.perf_counter() - start,
-        nodes_explored=0,
-    )
+    return formula_report(METHOD_BLOCK, value, frozenset(witness), start)
 
 
 # -- split graphs ----------------------------------------------------------
@@ -392,14 +385,7 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     xs = ordering.clique_order
     if len(xs) == 1:
         # the one clique vertex is universal and the rest independent: a star
-        return SolveReport(
-            variant="scds",
-            value=graph.n,
-            witness=frozenset(range(graph.n)),
-            method=METHOD_THRESHOLD,
-            elapsed=time.perf_counter() - start,
-            nodes_explored=0,
-        )
+        return formula_report(METHOD_THRESHOLD, graph.n, frozenset(range(graph.n)), start)
     if len(xs) < 2:
         raise RuntimeError(
             "connected non-complete non-star threshold graph with fewer than two "
@@ -411,17 +397,7 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     )
     witness = frozenset({x_last, x_prev}) | window
     pendants = sum(1 for a in graph.adj if len(a) == 1)
-    value = 2 + pendants
-    if len(witness) != value:
-        raise RuntimeError("threshold witness size disagrees with the formula")
-    return SolveReport(
-        variant="scds",
-        value=value,
-        witness=witness,
-        method=METHOD_THRESHOLD,
-        elapsed=time.perf_counter() - start,
-        nodes_explored=0,
-    )
+    return formula_report(METHOD_THRESHOLD, 2 + pendants, witness, start)
 
 
 # -- misc recognizers ------------------------------------------------------

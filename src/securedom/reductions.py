@@ -221,7 +221,8 @@ def check_equivalence(
     """Solve both sides exactly and sweep all parameter thresholds.
 
     Guarded: refuses when the output graph would exceed ``max_output_n``
-    vertices, since both sides go through the exponential exact solver.
+    vertices, since both sides go through the exponential exact solver,
+    and the same cap bounds both searches.
     """
     from .exact import solve
 
@@ -234,8 +235,8 @@ def check_equivalence(
             f"equivalence check refused: output has {artifact.output_graph.n} "
             f"vertices > {max_output_n}"
         )
-    source_value = solve(graph, source_variant).value
-    target_value = solve(artifact.output_graph, target_variant).value
+    source_value = solve(graph, source_variant, max_n=max_output_n).value
+    target_value = solve(artifact.output_graph, target_variant, max_n=max_output_n).value
     rows = tuple(
         SweepRow(
             t=t,

@@ -1,6 +1,8 @@
-"""The record every solver returns, the method names it carries, the
-complete-graph shortcut that the exact search, the linear-time solvers and
-the ``auto`` dispatch share, and ``gamma``, that dispatch.
+"""The record every solver returns, the method names it carries,
+``formula_report``, the one builder of every closed-form answer (the block
+and threshold formulas and the complete-graph shortcut that the exact
+search, the linear-time solvers and the ``auto`` dispatch share), and
+``gamma``, that dispatch.
 
 A leaf module: it imports only the standard library and ``names`` when
 loaded, so the linear-time solvers build reports without loading the exact
@@ -42,20 +44,22 @@ class SolveReport(NamedTuple):
     nodes_explored: int
 
 
-def trivial_complete(start: float) -> SolveReport:
-    """The secure connected answer on a complete graph: any single vertex.
+def formula_report(method: str, value: int, witness: frozenset[int], start: float) -> SolveReport:
+    """The scds report of a closed-form answer, after checking that the
+    witness has ``value`` vertices.
 
     ``start`` is the caller's perf_counter reading, so elapsed covers the
-    caller's own checks.
+    caller's own work.  A size mismatch is a broken formula, not a bad
+    input, so it raises RuntimeError.
     """
-    return SolveReport(
-        variant="scds",
-        value=1,
-        witness=frozenset({0}),
-        method=METHOD_TRIVIAL,
-        elapsed=time.perf_counter() - start,
-        nodes_explored=0,
-    )
+    if len(witness) != value:
+        raise RuntimeError(f"{method} witness size disagrees with the formula")
+    return SolveReport("scds", value, witness, method, time.perf_counter() - start, 0)
+
+
+def trivial_complete(start: float) -> SolveReport:
+    """The secure connected answer on a complete graph: any single vertex."""
+    return formula_report(METHOD_TRIVIAL, 1, frozenset({0}), start)
 
 
 def gamma(

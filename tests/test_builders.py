@@ -15,7 +15,7 @@ from bisect import bisect_right
 from itertools import combinations
 
 from securedom import Graph, from_edge_list, random_split_graph, random_threshold_graph, to_edge_list
-from securedom.families import _MIN_PARAM, FAMILY_KINDS, FamilySpec, generate
+from securedom.families import _SIZES, FAMILY_KINDS, FamilySpec, generate
 from securedom.fast import recognize_split
 from securedom.reductions import reduce_split, reduce_universal
 
@@ -119,7 +119,7 @@ def _seeded_graphs():
 
 def test_generate_equals_the_edge_list_definitions():
     for kind in FAMILY_KINDS:
-        for n in range(_MIN_PARAM[kind], 41):
+        for n in range(_SIZES[kind][0], 41):
             assert _same(generate(FamilySpec(kind, n)), _old_generate(kind, n)), (kind, n)
 
 

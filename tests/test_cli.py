@@ -369,6 +369,24 @@ def test_check_equivalence_refuses_oversized_output(graph_file, capsys):
     assert "refused" in err
 
 
+def test_check_equivalence_output_cap_also_bounds_both_searches(capsys):
+    # K20 reduces to K21: the cap of 21 admits the output, and the target
+    # search must take the same cap instead of the exact search's default 20
+    code, out, _ = run(
+        capsys, "check-equivalence", "--kind", "dm_to_scdm", "--family", "complete", "--n", "20", "--max-output-n", "21"
+    )
+    assert code == 0
+    assert "verdict all-match" in out
+
+
+def test_crosscheck_grid_refusal_names_the_exact_cap(capsys):
+    # --max-n bounds the grid's instances; the exact search's cap stays 20
+    code, out, err = run(capsys, "crosscheck", "--grid", "trees", "--max-n", "25", "--count", "1", "--seed", "18")
+    assert code == 2
+    assert out == ""
+    assert err == "error: trees grid refused: instance n=21 is above the exact search cap of 20\n"
+
+
 def test_gamma_refuses_family_and_file_input_together(graph_file, capsys):
     code, out, err = run(capsys, "gamma", "--family", "ladder", "--n", "3", "--in", graph_file(BOWTIE))
     assert code == 2

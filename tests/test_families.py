@@ -5,9 +5,7 @@ import pytest
 from conftest import canonical_form
 from securedom import DomainError, solve
 from securedom.families import (
-    _EDGE_COUNT,
-    _MIN_PARAM,
-    _VERTEX_COUNT,
+    _SIZES,
     FAMILY_KINDS,
     FamilySpec,
     formula_value,
@@ -39,9 +37,10 @@ def test_parameter_bounds():
 
 def test_size_formulas_match_generated_members():
     for kind in FAMILY_KINDS:
-        for n in range(_MIN_PARAM[kind], 12):
+        least, vertices, edges = _SIZES[kind]
+        for n in range(least, 12):
             g = generate(FamilySpec(kind, n))
-            assert (g.n, g.m) == (_VERTEX_COUNT[kind](n), _EDGE_COUNT[kind](n)), (kind, n)
+            assert (g.n, g.m) == (vertices(n), edges(n)), (kind, n)
 
 
 def test_subdivided_wheel_structure():

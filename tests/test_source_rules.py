@@ -4,18 +4,39 @@ from __future__ import annotations
 
 import ast
 
+import pytest
+
 from conftest import SRC
+from securedom.report import METHOD_BLOCK, formula_report
+
+
+def _nodes():
+    """(module file name, node) for every AST node of the package."""
+    modules = sorted((SRC / "securedom").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            yield path.name, node
 
 
 def test_no_module_relies_on_assert():
     # python -O strips assert statements, so an invariant they guard would
     # silently go unchecked; invariants raise instead
-    modules = sorted((SRC / "securedom").glob("*.py"))
-    assert modules
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
+    assert [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)] == []
+
+
+def test_only_report_and_exact_build_solve_reports():
+    # every closed-form answer goes through report.formula_report, which
+    # checks its witness size; the exact search builds its own report
+    builders = {
+        name
+        for name, node in _nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SolveReport"
+    }
+    assert builders == {"report.py", "exact.py"}
+
+
+def test_formula_report_refuses_a_witness_of_the_wrong_size():
+    assert formula_report(METHOD_BLOCK, 2, frozenset({0, 3}), 0.0)[:4] == ("scds", 2, frozenset({0, 3}), METHOD_BLOCK)
+    with pytest.raises(RuntimeError, match="^block_formula witness size disagrees with the formula$"):
+        formula_report(METHOD_BLOCK, 3, frozenset({0, 3}), 0.0)
