@@ -268,8 +268,8 @@ def reductions_grid(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
     results = []
 
-    def run(kind: str, graph: Graph, label: str, partition=None) -> None:
-        eq = check_equivalence(kind, graph, partition)
+    def run(kind: str, graph: Graph, label: str) -> None:
+        eq = check_equivalence(kind, graph)
         measured = kind in MEASURED_REDUCTION_KINDS
         detail = f"src={eq.source_value} tgt={eq.target_value}"
         if not eq.all_match:
@@ -293,8 +293,8 @@ def reductions_grid(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for kind in ("dm_split_to_scdm_split", "dm_split_to_stdm_split"):
         for i in range(30):
             n = 2 + (seed + i) % 5
-            graph, partition = random_split_graph(n, seed + i)
-            run(kind, graph, f"seed={seed + i} n={n}", partition)
+            graph, _ = random_split_graph(n, seed + i)
+            run(kind, graph, f"seed={seed + i} n={n}")
     return results
 
 

@@ -201,36 +201,27 @@ def validate_partition(graph: Graph, partition: SplitPartition) -> bool:
     return True
 
 
-def _induced_edges(graph: Graph, vertices: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in combinations(vertices, 2) if graph.has_edge(u, v)]
-
-
-def _is_cycle(vertices: tuple[int, ...], edges: list[tuple[int, int]]) -> bool:
-    """Whether ``edges`` on the k = 4 or 5 ``vertices`` are k edges with every
-    vertex of degree 2: a 2-regular graph, and the only one on four or five
-    vertices is the k-cycle."""
-    if len(edges) != len(vertices):
-        return False
-    degs = dict.fromkeys(vertices, 0)
-    for u, v in edges:
-        degs[u] += 1
-        degs[v] += 1
-    return all(d == 2 for d in degs.values())
+# An induced 2K2 is a 1-regular subgraph on four vertices, and C4 and C5 are
+# the only 2-regular graphs on four and five vertices, so an obstruction is a
+# subset whose internal degrees are all one value.
+_OBSTRUCTIONS = {(4, 1): "2K2", (4, 2): "C4", (5, 2): "C5"}
 
 
 def _find_split_obstruction(graph: Graph) -> tuple[str, tuple[int, ...]] | None:
-    """Search small induced obstructions (2K2, C4, C5); feasible for n <= 30."""
+    """The first induced 2K2 or C4 over the 4-subsets in combinations order,
+    else the first induced C5 over the 5-subsets; feasible for n <= 30.
+
+    Each subset's internal degrees are read off adjacency bitmasks.
+    """
     if graph.n > 30:
         return None
-    for quad in combinations(range(graph.n), 4):
-        edges = _induced_edges(graph, quad)
-        if len(edges) == 2 and len({v for e in edges for v in e}) == 4:
-            return "2K2", quad
-        if _is_cycle(quad, edges):
-            return "C4", quad
-    for quint in combinations(range(graph.n), 5):
-        if _is_cycle(quint, _induced_edges(graph, quint)):
-            return "C5", quint
+    masks = [sum(1 << w for w in row) for row in graph.adj]
+    for size in (4, 5):
+        for subset in combinations(range(graph.n), size):
+            sub = sum(1 << v for v in subset)
+            degrees = {(masks[v] & sub).bit_count() for v in subset}
+            if len(degrees) == 1 and (kind := _OBSTRUCTIONS.get((size, degrees.pop()))):
+                return kind, subset
     return None
 
 
@@ -240,7 +231,10 @@ def recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
     With degrees sorted non-increasingly, the graph is split iff the first
     k degrees (k = largest index with d_j >= j, 0-based) sum to
     k(k-1) + the remaining degrees; the top-k vertices then form the clique.
-    On rejection an induced 2K2/C4/C5 is reported when the search is feasible.
+    This is the one place the package finds a split partition: ``recognize``
+    and the split reductions both call it.  On rejection with n <= 30 an
+    induced 2K2, C4 or C5 (the Foldes-Hammer obstructions) is reported, the
+    first that ``_find_split_obstruction`` meets.
     """
     n = graph.n
     adj = graph.adj

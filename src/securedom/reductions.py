@@ -7,8 +7,9 @@ flavor:
   bipartite   doubled bipartite gadget: originals on one side, a mirror copy
               plus hubs x,y on the other, padding vertices p,q attached to
               the hubs; parameter offset +2.
-  split       add a universal vertex x and a pendant y on x, preserving a
-              split partition; parameter offset +2.
+  split       add a universal vertex x and a pendant y on x to a split
+              input; parameter offset +2.  The input's split partition is
+              found by ``fast.recognize_split``, never passed in.
 
 New gadget vertices always take the highest ids in a fixed order (p, q
 before x, y), so artifacts serialize canonically.  The equivalence checker
@@ -19,15 +20,13 @@ counterexample is reported with the witnessing threshold.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .graph import DomainError, Graph
 from .names import REDUCTION_KINDS
 
-# The split helpers load with the split kinds and the exact search with
+# The split recognizer loads with the split kinds and the exact search with
 # check_equivalence, so the universal and bipartite builders run without them.
-if TYPE_CHECKING:
-    from .fast import SplitPartition
 
 _UNIVERSAL_KINDS = ("dm_to_scdm", "dm_to_stdm")
 _BIPARTITE_KINDS = ("scdm_to_scdb", "stdm_to_stdb")
@@ -121,21 +120,24 @@ def reduce_bipartite(graph: Graph, r: int, kind: str = "scdm_to_scdb") -> Reduct
     )
 
 
-def reduce_split(
-    graph: Graph, partition: SplitPartition, k: int, kind: str = "dm_split_to_scdm_split"
-) -> ReductionArtifact:
+def reduce_split(graph: Graph, k: int, kind: str = "dm_split_to_scdm_split") -> ReductionArtifact:
     """Add a universal vertex x and a pendant y on x; parameter becomes k + 2.
 
-    The output is split with clique + {x} and independent + {y}.
+    The input must be split, which ``fast.recognize_split`` decides; a
+    non-split input raises ``DomainError`` with the recognizer's reason.  The
+    kind is checked first, then splitness, then the parameter.  The gadget
+    never reads the partition: for any split partition (C, I) of the input,
+    C + {x} and I + {y} split the output.
     """
-    from .fast import validate_partition
+    from .fast import SplitRejection, recognize_split
 
     if kind not in _SPLIT_KINDS:
         raise DomainError(f"kind {kind!r} is not a split reduction")
+    found = recognize_split(graph)
+    if isinstance(found, SplitRejection):
+        raise DomainError(f"input is not a split graph: {found.reason}")
     if k < 1:
         raise DomainError("parameter must be at least 1")
-    if not validate_partition(graph, partition):
-        raise DomainError("invalid split partition for the input graph")
     # x and y take the two highest ids, so appending them keeps every row
     # sorted.
     x, y = graph.n, graph.n + 1
@@ -152,23 +154,15 @@ def reduce_split(
     )
 
 
-def build(
-    kind: str, graph: Graph, parameter: int, partition: SplitPartition | None = None
-) -> ReductionArtifact:
-    """Dispatch to the right builder for a reduction kind."""
+def build(kind: str, graph: Graph, parameter: int) -> ReductionArtifact:
+    """Dispatch to the right builder for a reduction kind; the split kinds
+    find the input's partition themselves."""
     if kind in _UNIVERSAL_KINDS:
         return reduce_universal(graph, parameter, kind)
     if kind in _BIPARTITE_KINDS:
         return reduce_bipartite(graph, parameter, kind)
     if kind in _SPLIT_KINDS:
-        if partition is None:
-            from .fast import SplitRejection, recognize_split
-
-            found = recognize_split(graph)
-            if isinstance(found, SplitRejection):
-                raise DomainError(f"input is not a split graph: {found.reason}")
-            partition = found
-        return reduce_split(graph, partition, parameter, kind)
+        return reduce_split(graph, parameter, kind)
     raise DomainError(f"unknown reduction kind {kind!r}")
 
 
@@ -211,16 +205,11 @@ class EquivalenceReport(NamedTuple):
         return None
 
 
-def check_equivalence(
-    kind: str,
-    graph: Graph,
-    partition: SplitPartition | None = None,
-    *,
-    max_output_n: int = 20,
-) -> EquivalenceReport:
+def check_equivalence(kind: str, graph: Graph, *, max_output_n: int = 20) -> EquivalenceReport:
     """Solve both sides exactly and sweep all parameter thresholds.
 
-    Guarded: refuses when the output graph would exceed ``max_output_n``
+    The artifact comes from ``build``, so a split kind refuses a non-split
+    input with the recognizer's reason.  Guarded: refuses when the output graph would exceed ``max_output_n``
     vertices, since both sides go through the exponential exact solver,
     and the same cap bounds both searches.
     """
@@ -229,7 +218,7 @@ def check_equivalence(
     if kind not in REDUCTION_KINDS:
         raise DomainError(f"unknown reduction kind {kind!r}")
     source_variant, target_variant, offset = REDUCTION_KINDS[kind]
-    artifact = build(kind, graph, 1, partition)
+    artifact = build(kind, graph, 1)
     if artifact.output_graph.n > max_output_n:
         raise DomainError(
             f"equivalence check refused: output has {artifact.output_graph.n} "

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from securedom import Graph, from_edge_list, random_split_graph, random_threshold_graph, to_edge_list
 from securedom.families import _SIZES, FAMILY_KINDS, FamilySpec, generate
-from securedom.fast import recognize_split
 from securedom.reductions import reduce_split, reduce_universal
 
 
@@ -138,11 +137,10 @@ def test_split_gadget_equals_the_edge_list_build():
         graphs += [random_split_graph(n, seed)[0], random_threshold_graph(n, seed)]
         graphs.append(_pad(graphs[-1], rng.randint(1, 3)))
     for graph in graphs:
-        partition = recognize_split(graph)
         x, y = graph.n, graph.n + 1
         edges = graph.edges() + [(u, x) for u in range(x)] + [(x, y)]
         old = _old_from_edges(x + 2, edges)
-        assert _same(reduce_split(graph, partition, 1).output_graph, old), graph
+        assert _same(reduce_split(graph, 1).output_graph, old), graph
 
 
 def test_to_edge_list_is_byte_equal_to_the_bisect_version():

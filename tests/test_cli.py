@@ -361,6 +361,20 @@ def test_check_equivalence_split_kind_recognizes_partition(graph_file, capsys):
     assert "verdict all-match" in out
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("0 1\n2 3\n", "error: input is not a split graph: induced 2K2 on vertices [0, 1, 2, 3]\n"),
+        (P4, "error: parameter must be at least 1\n"),
+    ],
+)
+def test_split_reduce_reports_splitness_before_the_parameter(graph_file, capsys, text, message):
+    code, out, err = run(
+        capsys, "reduce", "--kind", "dm_split_to_scdm_split", "--param", "0", "--in", graph_file(text)
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 def test_check_equivalence_refuses_oversized_output(graph_file, capsys):
     # a 20-vertex path reduces to 21 vertices, one over the exact-solve guard
     big = "\n".join(f"{i} {i + 1}" for i in range(19))

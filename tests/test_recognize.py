@@ -8,7 +8,7 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -190,6 +190,94 @@ def test_recognize_matches_full_recognizers_on_the_shortcut_cases(recognize_main
     for graph in _shortcut_graphs():
         for labeled in (graph, _relabel(graph, rng)):
             assert recognize_main(labeled) == _reference_recognize(labeled), labeled
+
+
+# -- the split obstruction search ------------------------------------------
+
+
+def _reference_obstruction(graph: Graph) -> tuple[str, tuple[int, ...]] | None:
+    """The first 4-subset in combinations order whose induced edges are two
+    disjoint edges (2K2) or a 4-cycle (C4), else the first 5-subset whose
+    induced edges are a 5-cycle (C5), compared as explicit edge lists."""
+    edge_set = set(graph.edges())
+
+    def induced(vertices):
+        return {e for e in combinations(vertices, 2) if e in edge_set}
+
+    def cycles(vertices):
+        first, *rest = vertices
+        orders = [(first, *p) for p in permutations(rest)]
+        return [{tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])} for order in orders]
+
+    for quad in combinations(range(graph.n), 4):
+        a, b, c, d = quad
+        edges = induced(quad)
+        if edges in ({(a, b), (c, d)}, {(a, c), (b, d)}, {(a, d), (b, c)}):
+            return "2K2", quad
+        if len(edges) == 4 and edges in cycles(quad):
+            return "C4", quad
+    for quint in combinations(range(graph.n), 5):
+        edges = induced(quint)
+        if len(edges) == 5 and edges in cycles(quint):
+            return "C5", quint
+    return None
+
+
+def _pseudo_split_graph(n: int, seed: int) -> Graph:
+    """A seeded split graph on n - 5 vertices with a 5-cycle joined to its
+    clique: free of 2K2 and C4, so its obstruction is a C5."""
+    split, part = random_split_graph(n - 5, seed)
+    q = range(n - 5, n)
+    cycle = [(v, n - 5 + (i + 1) % 5) for i, v in enumerate(q)]
+    return Graph.from_edges(n, split.edges() + cycle + [(u, v) for u in part.clique for v in q])
+
+
+def _obstruction_corpus():
+    """Every labeled graph with n <= 5, every connected class with n = 6,
+    and 500 seeded graphs with n = 7..16: G(n, p) at three densities, and
+    one in ten a split graph, a pseudo-split graph (whose obstruction is a
+    C5) or one beside an isolated vertex, each of which scans every subset."""
+    for n in range(6):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+    yield from enumerate_connected_graphs(6)
+    rng = random.Random(20)
+    for i in range(500):
+        n = 7 + i // 10 % 10
+        seed = rng.randrange(10**6)
+        if i % 10:
+            yield _gnp(n, (0.15, 0.5, 0.85)[i % 3], rng)
+        elif i // 10 % 3 == 0:
+            yield _relabel(random_split_graph(n, seed)[0], rng)
+        elif i // 10 % 3 == 1:
+            yield _relabel(_pseudo_split_graph(n, seed), rng)
+        else:
+            yield _relabel(_union(_pseudo_split_graph(n - 1, seed), Graph.from_edges(1, [])), rng)
+
+
+def _obstruction(graph: Graph) -> tuple[str, tuple[int, ...]] | None:
+    found = recognize_split(graph)
+    if isinstance(found, SplitPartition):
+        return None
+    return found.obstruction_kind, found.obstruction
+
+
+def test_split_obstruction_matches_the_edge_list_reference():
+    kinds = set()
+    for graph in _obstruction_corpus():
+        expected = _reference_obstruction(graph)
+        assert _obstruction(graph) == expected, graph
+        kinds.add(expected and expected[0])
+    assert kinds == {None, "2K2", "C4", "C5"}
+
+
+def test_split_obstruction_on_a_clique_joined_to_a_five_cycle():
+    # the only obstruction is the last 5-subset, so the search scans them all
+    k25 = list(combinations(range(25), 2))
+    join = [(u, v) for u in range(25) for v in range(25, 30)]
+    c5 = [(25 + i, 25 + (i + 1) % 5) for i in range(5)]
+    assert _obstruction(Graph.from_edges(30, k25 + join + c5)) == ("C5", (25, 26, 27, 28, 29))
 
 
 # -- the threshold certificate ---------------------------------------------

@@ -110,9 +110,7 @@ def test_bipartite_reduction_requires_connected_input():
 
 
 def test_split_reduction_example():
-    art = reduce_split(
-        complete_graph(3), SplitPartition(frozenset({0, 1, 2}), frozenset()), 1
-    )
+    art = reduce_split(complete_graph(3), 1)
     assert (art.output_graph.n, art.output_graph.m, art.output_parameter) == (5, 7, 3)
     assert art.provenance[3] == "x" and art.provenance[4] == "y"
 
@@ -120,7 +118,7 @@ def test_split_reduction_example():
 def test_split_reduction_preserves_splitness_with_shifted_partition():
     for seed in range(20):
         g, part = random_split_graph(1 + seed % 6, seed)
-        art = reduce_split(g, part, 1)
+        art = reduce_split(g, 1)
         out_part = SplitPartition(
             clique=part.clique | {g.n}, independent=part.independent | {g.n + 1}
         )
@@ -131,16 +129,18 @@ def test_split_reduction_preserves_splitness_with_shifted_partition():
 def test_split_reduction_forces_gadget_into_any_secure_set():
     # pendant y and its support x are mandatory in every secure connected set
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    part = SplitPartition(frozenset({0, 1}), frozenset({2}))
-    art = reduce_split(g, part, 1)
+    art = reduce_split(g, 1)
     x, y = g.n, g.n + 1
     witness = solve(art.output_graph, "scds").witness
     assert {x, y} <= witness
 
 
-def test_split_reduction_rejects_bad_partition():
-    with pytest.raises(DomainError, match="partition"):
-        reduce_split(path_graph(3), SplitPartition(frozenset({0, 2}), frozenset({1})), 1)
+def test_split_reduction_refuses_a_non_split_input_before_the_parameter():
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DomainError, match=r"^input is not a split graph: induced 2K2 on vertices \[0, 1, 2, 3\]$"):
+        reduce_split(two_k2, 0)
+    with pytest.raises(DomainError, match="^parameter must be at least 1$"):
+        reduce_split(path_graph(4), 0)
 
 
 def test_parameter_offsets_are_fixed_constants():
@@ -177,9 +177,9 @@ def test_forward_witnesses():
         assert is_scds_definition(art.output_graph, s | {2 * g.n + 2, 2 * g.n + 3})[0]
     # a dominating set of a split source plus x and y
     for seed in range(10):
-        g, part = random_split_graph(1 + seed % 6, seed)
+        g, _ = random_split_graph(1 + seed % 6, seed)
         d = solve(g, "ds").witness
-        art = reduce_split(g, part, max(1, len(d)))
+        art = reduce_split(g, max(1, len(d)))
         assert is_scds_definition(art.output_graph, d | {g.n, g.n + 1})[0]
 
 
@@ -187,8 +187,8 @@ def test_forward_witnesses():
 def test_gated_kinds_all_match_on_samples(kind):
     if kind.startswith("dm_split"):
         for seed in range(8):
-            g, part = random_split_graph(1 + seed % 6, seed)
-            assert check_equivalence(kind, g, part).all_match
+            g, _ = random_split_graph(1 + seed % 6, seed)
+            assert check_equivalence(kind, g).all_match
     else:
         for n in range(1, 5):
             for g in enumerate_connected_graphs(n):
@@ -266,7 +266,7 @@ def test_provenance_covers_every_output_vertex():
     for art in (
         reduce_universal(path_graph(4), 1),
         reduce_bipartite(path_graph(4), 1),
-        reduce_split(*random_split_graph(5, 1), 1),
+        reduce_split(random_split_graph(5, 1)[0], 1),
     ):
         assert sorted(art.provenance) == list(range(art.output_graph.n))
 

@@ -36,6 +36,28 @@ def test_only_report_and_exact_build_solve_reports():
     assert builders == {"report.py", "exact.py"}
 
 
+def test_every_private_helper_is_used_in_the_package():
+    # a private top-level function or class that no package code names
+    # outside its own definition is dead, even when a test still calls it
+    name_field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    nodes = list(_nodes())
+    own: dict[tuple[str, str], set[int]] = {}  # each helper's own nodes
+    refs: dict[str, list[int]] = {}  # every node that names an identifier
+    for module, node in nodes:
+        if isinstance(node, ast.Module):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                    if not stmt.name.endswith("__"):
+                        own[module, stmt.name] = {id(n) for n in ast.walk(stmt)}
+        if type(node) in name_field:
+            refs.setdefault(getattr(node, name_field[type(node)]), []).append(id(node))
+    assert own
+    dead = [
+        f"{module}:{name}" for (module, name), body in own.items() if all(r in body for r in refs.get(name, []))
+    ]
+    assert dead == []
+
+
 def test_formula_report_refuses_a_witness_of_the_wrong_size():
     assert formula_report(METHOD_BLOCK, 2, frozenset({0, 3}), 0.0)[:4] == ("scds", 2, frozenset({0, 3}), METHOD_BLOCK)
     with pytest.raises(RuntimeError, match="^block_formula witness size disagrees with the formula$"):
