@@ -30,13 +30,14 @@ from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, formula_report,
 class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected pieces / bridges) and cut vertices.
 
-    blocks are vertex sets ordered by smallest contained vertex; r is the
-    block count, k the cut-vertex count, and r_prime the number of blocks
-    whose vertices are all cut vertices.  cliques is True iff every block
-    induces a clique, that is, iff the graph is a block graph.
+    blocks are vertex tuples in the order the lowpoint walk closes them,
+    each starting with the vertex it closes at; r is the block count, k the
+    cut-vertex count, and r_prime the number of blocks whose vertices are
+    all cut vertices.  cliques is True iff every block induces a clique,
+    that is, iff the graph is a block graph.
     """
 
-    blocks: tuple[frozenset[int], ...]
+    blocks: tuple[tuple[int, ...], ...]
     cut_vertices: frozenset[int]
     cliques: bool
 
@@ -51,7 +52,7 @@ class BlockDecomposition(NamedTuple):
     @property
     def r_prime(self) -> int:
         cut = self.cut_vertices
-        return sum(1 for b in self.blocks if b <= cut)
+        return sum(1 for b in self.blocks if cut.issuperset(b))
 
 
 class SplitPartition(NamedTuple):
@@ -68,13 +69,13 @@ class SplitRejection(NamedTuple):
 
 
 class ThresholdOrdering(NamedTuple):
-    """Split partition plus the nested-neighborhood orders.
+    """The nested-neighborhood orders of a threshold graph.
 
-    Closed neighborhoods grow along clique_order; open neighborhoods shrink
-    along independent_order.
+    clique_order lists the clique side and independent_order the
+    independent side.  Closed neighborhoods grow along clique_order; open
+    neighborhoods shrink along independent_order.
     """
 
-    partition: SplitPartition
     clique_order: tuple[int, ...]
     independent_order: tuple[int, ...]
 
@@ -99,13 +100,14 @@ def _walk_whole(graph: Graph, blocks: list[int] | None = None) -> tuple[list[int
 def block_decompose(graph: Graph) -> BlockDecomposition:
     """Blocks and cut vertices from the lowpoint walk.
 
-    Deterministic: blocks are sorted by their smallest vertex.  Requires a
-    connected graph.  The vertex p a block closes at is a cut vertex, unless
-    it is the DFS root 0 and closes only one block.
+    Deterministic: blocks come in the order the walk closes them, each
+    starting with the vertex p it closes at.  Requires a connected graph.
+    That p is a cut vertex, unless it is the DFS root 0 and closes only one
+    block.
     """
     n = graph.n
     if n == 1:
-        return BlockDecomposition(blocks=(frozenset({0}),), cut_vertices=frozenset(), cliques=True)
+        return BlockDecomposition(blocks=((0,),), cut_vertices=frozenset(), cliques=True)
     records: list[int] = []
     disc, pairs = _walk_whole(graph, records)
     heads = records[0::3]
@@ -116,7 +118,7 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
     for v, d in enumerate(disc):
         order[d] = v
     skip = [0] * (n + 1)
-    blocks: list[frozenset[int]] = []
+    blocks: list[tuple[int, ...]] = []
     for p, lo, hi in zip(heads, records[1::3], records[2::3]):
         block = [p]
         i = lo
@@ -127,19 +129,10 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
                 block.append(order[i])
                 i += 1
         skip[lo] = hi
-        blocks.append(frozenset(block))
+        blocks.append(tuple(block))
     cut = set(heads)
     if heads.count(0) == 1:
         cut.discard(0)
-
-    # Two blocks share at most one vertex, so the two smallest vertices of a
-    # block already fix its place in the order of sorted vertex lists, and
-    # an integer key sorts far faster than a list key.
-    def two_smallest(block: frozenset[int]) -> int:
-        lowest = sorted(block)
-        return lowest[0] * n + lowest[1]
-
-    blocks.sort(key=two_smallest)
     return BlockDecomposition(
         blocks=tuple(blocks), cut_vertices=frozenset(cut), cliques=pairs == graph.m
     )
@@ -298,14 +291,7 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
             )
     clique_order = tuple(reversed(removed_universal))
     independent_order = tuple(reversed(removed_isolated))
-    partition = SplitPartition(
-        clique=frozenset(clique_order), independent=frozenset(independent_order)
-    )
-    ordering = ThresholdOrdering(
-        partition=partition,
-        clique_order=clique_order,
-        independent_order=independent_order,
-    )
+    ordering = ThresholdOrdering(clique_order=clique_order, independent_order=independent_order)
     if not _threshold_ordering_valid(graph, ordering):
         return ThresholdRejection(reason="nesting chains failed validation")
     return ordering
@@ -363,10 +349,14 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     """Secure connected domination number of a connected threshold graph.
 
     Non-star case: 2 + pendant count, witnessed by the last two clique-order
-    vertices plus the pendant independents.  Stars are the one connected
-    non-complete threshold family where that count is off by one (the lower
-    bound argument needs a second clique vertex that stars do not have), so
-    they take the tree value instead: every vertex.
+    vertices plus the pendants.  Independent neighbourhoods are suffixes of
+    clique_order, so every pendant hangs on the last clique-order vertex
+    and the witness reads them off its row; the value counts pendants over
+    all vertices, so ``formula_report`` checks that none hangs elsewhere.
+    Stars are the one connected non-complete threshold family where that
+    count is off by one (the lower bound argument needs a second clique
+    vertex that stars do not have), so they take the tree value instead:
+    every vertex.
     """
     start = time.perf_counter()
     ordering = recognize_threshold(graph)
@@ -385,12 +375,10 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
             "connected non-complete non-star threshold graph with fewer than two "
             "clique-order vertices; recognition is broken"
         )
-    x_last, x_prev = xs[-1], xs[-2]
-    window = (graph.neighbors(x_last) - graph.neighbors(x_prev)) & frozenset(
-        ordering.independent_order
-    )
-    witness = frozenset({x_last, x_prev}) | window
-    pendants = sum(1 for a in graph.adj if len(a) == 1)
+    adj = graph.adj
+    window = [y for y in adj[xs[-1]] if len(adj[y]) == 1]
+    witness = frozenset(xs[-2:]).union(window)
+    pendants = sum(1 for a in adj if len(a) == 1)
     return formula_report(METHOD_THRESHOLD, 2 + pendants, witness, start)
 
 

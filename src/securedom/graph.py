@@ -88,22 +88,6 @@ class Graph(NamedTuple):
 
     # -- basic queries ----------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood of v."""
-        self._check_vertex(v)
-        return frozenset(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if len(self.adj[u]) > len(self.adj[v]):
-            u, v = v, u
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         return [(u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v]

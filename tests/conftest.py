@@ -30,7 +30,7 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
 def closed_neighborhood(graph: Graph, vertices) -> frozenset[int]:
     """The given set together with every neighbor of one of its members."""
     members = frozenset(vertices)
-    return members.union(*(graph.neighbors(v) for v in members))
+    return members.union(*(graph.adj[v] for v in members))
 
 
 def plain_solve(graph: Graph, variant: str) -> tuple[int, frozenset[int]]:

@@ -35,6 +35,7 @@ from securedom import (
     random_graph,
     random_split_graph,
     random_threshold_graph,
+    random_tree,
     recognize_split,
     recognize_threshold,
     solve,
@@ -59,9 +60,10 @@ def test_block_decomposition_examples():
     d = block_decompose(bowtie_graph())
     assert (d.r, d.k, d.r_prime) == (2, 1, 0)
     assert d.cut_vertices == {2}
-    assert d.blocks == (frozenset({0, 1, 2}), frozenset({2, 3, 4}))
+    assert d.blocks == ((2, 3, 4), (0, 1, 2))
     d = block_decompose(path_graph(4))
     assert (d.r, d.k, d.r_prime) == (3, 2, 1)
+    assert d.blocks == ((2, 3), (1, 2), (0, 1))
     d = block_decompose(complete_graph(4))
     assert (d.r, d.k, d.r_prime) == (1, 0, 0)
 
@@ -114,7 +116,7 @@ def _blocks_and_cuts_oracle(graph):
     cut vertex iff G - x is disconnected.
     """
     if graph.n == 1:
-        return (frozenset({0}),), frozenset()
+        return [frozenset({0})], frozenset()
     everyone = set(range(graph.n))
     edges = graph.edges()
     signature = defaultdict(list)
@@ -129,7 +131,7 @@ def _blocks_and_cuts_oracle(graph):
         key = tuple(labels[v if u == x else u] for x, labels in enumerate(labelings))
         signature[key].append((u, v))
     blocks = [frozenset(w for e in group for w in e) for group in signature.values()]
-    return tuple(sorted(blocks, key=sorted)), frozenset(cuts)
+    return blocks, frozenset(cuts)
 
 
 def _differential_corpus():
@@ -147,7 +149,13 @@ def test_block_decompose_matches_deletion_oracle():
         d = block_decompose(g)
         blocks, cuts = _blocks_and_cuts_oracle(g)
         expected_cliques = _blocks_are_cliques_oracle(g, blocks)
-        assert (d.blocks, d.cut_vertices, d.cliques) == (blocks, cuts, expected_cliques), g.edges()
+        assert all(len(set(b)) == len(b) for b in d.blocks), g.edges()
+        assert len(d.blocks) == len(blocks), g.edges()
+        assert ({frozenset(b) for b in d.blocks}, d.cut_vertices, d.cliques) == (
+            set(blocks),
+            cuts,
+            expected_cliques,
+        ), g.edges()
         assert is_block_graph(g) == expected_cliques
         checked += 1
         block_graphs += expected_cliques
@@ -257,8 +265,8 @@ def test_threshold_recognition():
     assert isinstance(recognize_threshold(path_graph(4)), ThresholdRejection)
     ordering = recognize_threshold(four_vertex_threshold())
     assert ordering.clique_order[-1] == 0
-    assert set(ordering.clique_order) == ordering.partition.clique
-    assert set(ordering.independent_order) == ordering.partition.independent
+    assert set(ordering.clique_order) == {0, 2}
+    assert set(ordering.independent_order) == {1, 3}
 
 
 def test_threshold_ordering_chains_nest():
@@ -270,7 +278,7 @@ def test_threshold_ordering_chains_nest():
             assert closed_neighborhood(g, {a}) <= closed_neighborhood(g, {b})
         ys = ordering.independent_order
         for a, b in zip(ys, ys[1:]):
-            assert g.neighbors(b) <= g.neighbors(a)
+            assert set(g.adj[b]) <= set(g.adj[a])
 
 
 def test_threshold_solver_examples():
@@ -360,6 +368,122 @@ def test_bench_instances_have_the_advertised_classes():
     g = bench_threshold_graph(12)
     assert not isinstance(recognize_threshold(g), ThresholdRejection)
     assert gamma_sc_threshold(g).value == solve(g, "scds").value == 2
+
+
+def _edge_stack_blocks(graph):
+    """Blocks (as frozensets) and cut vertices of a connected graph by the
+    textbook edge-stack DFS, which pops each block's edges as it closes;
+    None when the graph is disconnected."""
+    if graph.n == 1:
+        return [frozenset({0})], frozenset()
+    adj = graph.adj
+    disc = [0] * graph.n
+    low = [0] * graph.n
+    disc[0] = low[0] = 1
+    timer = 2
+    edges, blocks, heads = [], [], []
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, parent, neighbours = stack[-1]
+        for w in neighbours:
+            if not disc[w]:
+                disc[w] = low[w] = timer
+                timer += 1
+                edges.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edges.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    block, edge = set(), None
+                    while edge != (p, v):
+                        edge = edges.pop()
+                        block.update(edge)
+                    blocks.append(frozenset(block))
+                    heads.append(p)
+    if timer - 1 < graph.n:
+        return None
+    return blocks, frozenset(h for h in heads if h != 0 or heads.count(0) > 1)
+
+
+def _set_based_block_formula(graph):
+    """The r, k, r' form over frozenset blocks sorted by their sorted
+    members: k + r - r' with every cut vertex and each block's least
+    non-cut vertex as witness; None where gamma_sc_block refuses."""
+    found = _edge_stack_blocks(graph)
+    if found is None:
+        return None
+    blocks, cut = found
+    if sum(len(b) * (len(b) - 1) // 2 for b in blocks) != graph.m:
+        return None
+    blocks.sort(key=sorted)
+    r, k, r_prime = len(blocks), len(cut), sum(1 for b in blocks if b <= cut)
+    witness = set(cut)
+    for b in blocks:
+        if b - cut:
+            witness.add(min(b - cut))
+    return k + r - r_prime, frozenset(witness), METHOD_BLOCK
+
+
+def _set_based_threshold_formula(graph):
+    """2 + pendants witnessed by the last two clique-order vertices and the
+    window N(x_last) - N(x_prev) on the independent side; None where
+    gamma_sc_threshold refuses."""
+    ordering = recognize_threshold(graph)
+    if isinstance(ordering, ThresholdRejection) or not graph.is_connected():
+        return None
+    if graph.is_complete():
+        return 1, frozenset({0}), METHOD_TRIVIAL
+    xs = ordering.clique_order
+    if len(xs) == 1:
+        return graph.n, frozenset(range(graph.n)), METHOD_THRESHOLD
+    x_last, x_prev = xs[-1], xs[-2]
+    window = (set(graph.adj[x_last]) - set(graph.adj[x_prev])) & set(ordering.independent_order)
+    pendants = sum(1 for a in graph.adj if len(a) == 1)
+    return 2 + pendants, frozenset({x_last, x_prev} | window), METHOD_THRESHOLD
+
+
+def _answer(solver, graph):
+    try:
+        report = solver(graph)
+    except DomainError:
+        return None
+    return report.value, report.witness, report.method
+
+
+def _witness_identity_corpus():
+    for n in range(1, 7):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+    for n in range(7, 41):
+        for seed in range(3):
+            yield random_threshold_graph(n, seed)
+            yield random_block_graph(n, seed)
+            yield random_tree(n, seed)
+    yield bench_block_graph(20_000)
+    yield bench_threshold_graph(20_000)
+
+
+def test_formula_witnesses_match_the_set_based_constructions():
+    answered = Counter()
+    for g in _witness_identity_corpus():
+        for solver, reference in (
+            (gamma_sc_block, _set_based_block_formula),
+            (gamma_sc_threshold, _set_based_threshold_formula),
+        ):
+            expected = reference(g)
+            assert _answer(solver, g) == expected, (solver.__name__, g.edges())
+            answered[solver.__name__] += expected is not None
+    assert answered == {"gamma_sc_block": 4998, "gamma_sc_threshold": 1735}
 
 
 def test_validate_partition():

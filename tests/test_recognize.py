@@ -287,8 +287,8 @@ def _set_based_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool
     """The nesting check the rank certificate replaced: clique, independent
     set, and both chains by consecutive subset tests."""
     adj = graph.adj
-    c = ordering.partition.clique
-    i = ordering.partition.independent
+    c = set(ordering.clique_order)
+    i = set(ordering.independent_order)
     for x in c:
         if sum(1 for w in adj[x] if w in c) != len(c) - 1:
             return False
@@ -330,7 +330,7 @@ def _rank_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
 
 def _ordering(xs, ys) -> ThresholdOrdering:
     xs, ys = tuple(xs), tuple(ys)
-    return ThresholdOrdering(SplitPartition(frozenset(xs), frozenset(ys)), xs, ys)
+    return ThresholdOrdering(xs, ys)
 
 
 def _orderings(graph: Graph, rng: random.Random):

@@ -58,6 +58,28 @@ def test_every_private_helper_is_used_in_the_package():
     assert dead == []
 
 
+def test_every_public_graph_method_is_used_in_the_package():
+    # a Graph query that no package code calls outside its own definition is
+    # dead, even when a test still calls it.  Graph.components is exempt
+    # while perfbench/tracer.py wraps it by name (ROADMAP item 7).
+    nodes = list(_nodes())
+    (graph_class,) = [
+        node for module, node in nodes if module == "graph.py" and isinstance(node, ast.ClassDef) and node.name == "Graph"
+    ]
+    own = {
+        stmt.name: {id(n) for n in ast.walk(stmt)}
+        for stmt in graph_class.body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+    }
+    assert "edges" in own
+    called = {
+        node.attr
+        for _, node in nodes
+        if isinstance(node, ast.Attribute) and node.attr in own and id(node) not in own[node.attr]
+    }
+    assert sorted(own.keys() - called - {"components"}) == []
+
+
 def test_formula_report_refuses_a_witness_of_the_wrong_size():
     assert formula_report(METHOD_BLOCK, 2, frozenset({0, 3}), 0.0)[:4] == ("scds", 2, frozenset({0, 3}), METHOD_BLOCK)
     with pytest.raises(RuntimeError, match="^block_formula witness size disagrees with the formula$"):

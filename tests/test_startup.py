@@ -185,6 +185,7 @@ def test_solve_path_records_keep_their_repr_hash_and_immutability():
     rejection = fast.SplitRejection("no split partition")
     assert (rejection.obstruction, rejection.obstruction_kind) == (None, None)
     assert fast.ThresholdRejection("no isolated or universal vertex remains").remaining == 0
+    assert fast.ThresholdOrdering._fields == ("clique_order", "independent_order")
     blocks = records[fast.BlockDecomposition]
     assert (blocks.r, blocks.k, blocks.r_prime) == (3, 2, 1)
     assert verify.DefenderMap({0: frozenset({1}), 2: frozenset()}).undefended() == [2]

@@ -171,7 +171,7 @@ def test_defender_maps_list_only_adjacent_members():
                     assert u not in s
                     for v in defenders:
                         assert v in s
-                        assert g.has_edge(u, v)
+                        assert v in g.adj[u]
 
 
 # The base check of each secure variant; the literal swap loop re-runs it
