@@ -46,7 +46,6 @@ _EXPORTS = {
     "verify": (
         "VARIANTS",
         "DefenderMap",
-        "epn",
         "is_connected_dominating",
         "is_dominating",
         "is_scds",

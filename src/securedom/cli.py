@@ -74,26 +74,27 @@ def _graph_field(graph: Graph) -> dict:
     return {"n": graph.n, "m": graph.m}
 
 
-def _rejected(witness: frozenset[int]) -> str:
-    """Name a witness that failed re-verification by its size and the sha256
-    of its printed set, since it can have 1e5 vertices."""
-    import hashlib
+def _require_verified(graph: Graph, variant: str, witness: frozenset[int], source: str) -> None:
+    """Re-check a witness before it is printed; a rejected one is named by its
+    size and the sha256 of its printed set, since it can have 1e5 vertices."""
+    from .verify import check_variant
 
-    digest = hashlib.sha256(format_vertex_set(witness).encode("ascii")).hexdigest()
-    noun = "vertex" if len(witness) == 1 else "vertices"
-    return f"(witness of {len(witness)} {noun}, sha256 {digest})"
+    if not check_variant(graph, variant, witness):
+        import hashlib
+
+        digest = hashlib.sha256(format_vertex_set(witness).encode("ascii")).hexdigest()
+        noun = "vertex" if len(witness) == 1 else "vertices"
+        raise RuntimeError(
+            f"{source} witness failed {variant} re-verification (witness of {len(witness)} {noun}, sha256 {digest})"
+        )
 
 
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .report import gamma
-    from .verify import check_variant
 
     graph = _load_graph(args)
     report = gamma(graph, args.variant, args.method, max_n=args.max_n)
-    if not check_variant(graph, args.variant, report.witness):
-        raise RuntimeError(
-            f"{report.method} witness failed {args.variant} re-verification {_rejected(report.witness)}"
-        )
+    _require_verified(graph, args.variant, report.witness, report.method)
     payload = {
         "command": "gamma",
         "variant": args.variant,
@@ -176,13 +177,8 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     if args.emit_witness:
-        from .verify import check_variant
-
         witness = formula_witness(spec)
-        if not check_variant(graph, "scds", witness):
-            raise RuntimeError(
-                f"{args.kind} formula witness failed scds re-verification {_rejected(witness)}"
-            )
+        _require_verified(graph, "scds", witness, f"{args.kind} formula")
         payload["witness"] = format_vertex_set(witness)
         payload["value"] = formula_value(spec)
     text = []

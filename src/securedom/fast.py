@@ -10,9 +10,10 @@ universal in the remaining graph.  Because removing an isolated vertex
 changes no remaining degree and removing a universal vertex lowers every
 remaining degree by exactly one, the peel runs with two pointers over the
 degree-sorted vertex order and a single removed-universal counter, keeping
-the whole recognition linear apart from the initial sort.  Both solvers
-return through ``report.formula_report``, which checks that the witness
-size equals the formula's value.
+the whole recognition linear apart from the initial sort.
+``gamma_sc_formula`` picks a solver for ``auto`` from one threshold
+certificate.  Both solvers return through ``report.formula_report``, which
+checks that the witness size equals the formula's value.
 """
 
 from __future__ import annotations
@@ -336,13 +337,19 @@ def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool
     return True
 
 
-def _threshold_connected(graph: Graph, ordering: ThresholdOrdering) -> bool:
-    """Whether the threshold graph is connected: n = 1, or the last
-    clique-order vertex is universal.  On two or more vertices a threshold
-    graph is connected iff some vertex is universal, and the closed
-    neighbourhood of the last clique-order vertex contains every other."""
+def _threshold_shape(graph: Graph, ordering: ThresholdOrdering) -> tuple[bool, bool]:
+    """(connected, block graph) for a threshold graph, read off its
+    certificate.  With two or more vertices it is connected iff the last
+    clique-order vertex is universal; then the p pendants hang on it and
+    the other h = n - p vertices form one 2-connected block, so it is a
+    block graph iff n <= 2 or that block is a clique (m - p = h(h-1)/2)."""
+    n, adj = graph.n, graph.adj
     xs = ordering.clique_order
-    return graph.n == 1 or (bool(xs) and len(graph.adj[xs[-1]]) == graph.n - 1)
+    if n > 1 and not (xs and len(adj[xs[-1]]) == n - 1):
+        return False, False
+    pendants = list(map(len, adj)).count(1)
+    h = n - pendants
+    return True, n <= 2 or graph.m - pendants == h * (h - 1) // 2
 
 
 def gamma_sc_threshold(graph: Graph) -> SolveReport:
@@ -362,7 +369,12 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     ordering = recognize_threshold(graph)
     if isinstance(ordering, ThresholdRejection):
         raise DomainError(f"not a threshold graph: {ordering.reason}")
-    if not _threshold_connected(graph, ordering):
+    return _threshold_formula(graph, ordering, start)
+
+
+def _threshold_formula(graph: Graph, ordering: ThresholdOrdering, start: float) -> SolveReport:
+    """``gamma_sc_threshold`` on a graph whose certificate is ``ordering``."""
+    if not _threshold_shape(graph, ordering)[0]:
         raise DomainError("threshold solver requires a connected graph")
     if graph.is_complete():
         return trivial_complete(start)
@@ -380,6 +392,20 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     witness = frozenset(xs[-2:]).union(window)
     pendants = sum(1 for a in adj if len(a) == 1)
     return formula_report(METHOD_THRESHOLD, 2 + pendants, witness, start)
+
+
+def gamma_sc_formula(graph: Graph) -> SolveReport:
+    """The scds formula chosen by one threshold certificate: the block
+    formula for a non-threshold graph or a non-complete threshold block
+    graph, else the threshold formula with that certificate.  Raises the
+    chosen formula's DomainError when it does not apply."""
+    start = time.perf_counter()
+    ordering = recognize_threshold(graph)
+    if isinstance(ordering, ThresholdOrdering) and (
+        graph.is_complete() or not _threshold_shape(graph, ordering)[1]
+    ):
+        return _threshold_formula(graph, ordering, start)
+    return gamma_sc_block(graph)
 
 
 # -- misc recognizers ------------------------------------------------------
@@ -409,12 +435,10 @@ def recognize_classes(graph: Graph) -> tuple[dict[str, bool], SplitRejection | N
     when the graph is not split.
 
     An accepted threshold certificate answers every class without a search.
-    The graph is split (Chvatal-Hammer).  It is connected iff n = 1 or the
-    last clique-order vertex is universal; then the p pendants hang on that
-    vertex and the other h = n - p vertices form one 2-connected block, so
-    it is a block graph iff n <= 2 or that block is a clique (m - p =
-    h(h-1)/2).  It is bipartite iff it holds no triangle: the clique side
-    has at most one vertex, or two that no independent vertex sees both of.
+    The graph is split (Chvatal-Hammer), ``_threshold_shape`` answers
+    connected and block_graph, and it is bipartite iff it holds no
+    triangle: the clique side has at most one vertex, or two that no
+    independent vertex sees both of.
 
     Otherwise a graph with m = n - 1 is connected iff it is a tree, and
     trees are bipartite block graphs, so one search answers all four.  Any
@@ -427,12 +451,7 @@ def recognize_classes(graph: Graph) -> tuple[dict[str, bool], SplitRejection | N
     rejection = None
     if threshold:
         xs = ordering.clique_order
-        connected = _threshold_connected(graph, ordering)
-        block_graph = False
-        if connected:
-            pendants = list(map(len, adj)).count(1)
-            h = n - pendants
-            block_graph = n <= 2 or m - pendants == h * (h - 1) // 2
+        connected, block_graph = _threshold_shape(graph, ordering)
         bipartite = len(xs) <= 1 or (
             len(xs) == 2 and all(len(adj[y]) <= 1 for y in ordering.independent_order)
         )

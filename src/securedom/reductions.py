@@ -215,10 +215,8 @@ def check_equivalence(kind: str, graph: Graph, *, max_output_n: int = 20) -> Equ
     """
     from .exact import solve
 
-    if kind not in REDUCTION_KINDS:
-        raise DomainError(f"unknown reduction kind {kind!r}")
-    source_variant, target_variant, offset = REDUCTION_KINDS[kind]
     artifact = build(kind, graph, 1)
+    source_variant, target_variant, offset = REDUCTION_KINDS[kind]
     if artifact.output_graph.n > max_output_n:
         raise DomainError(
             f"equivalence check refused: output has {artifact.output_graph.n} "

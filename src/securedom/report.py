@@ -1,8 +1,7 @@
 """The record every solver returns, the method names it carries,
 ``formula_report``, the one builder of every closed-form answer (the block
 and threshold formulas and the complete-graph shortcut that the exact
-search, the linear-time solvers and the ``auto`` dispatch share), and
-``gamma``, that dispatch.
+search and the threshold formula share), and ``gamma``, the one dispatch.
 
 A leaf module: it imports only the standard library and ``names`` when
 loaded, so the linear-time solvers build reports without loading the exact
@@ -67,12 +66,11 @@ def gamma(
 ) -> SolveReport:
     """Minimum certificate size and witness by the named method.
 
-    ``block`` and ``threshold`` compute scds only.  ``auto`` tries, for scds,
-    the complete-graph shortcut, then the block formula, then the threshold
-    formula, moving on when one raises DomainError (wrong class or
-    disconnected); the exact search takes the rest and reports any refusal.
-    A graph with fewer than n - 1 edges cannot be connected, so ``auto``
-    skips both formulas for it.
+    ``block`` and ``threshold`` compute scds only.  ``auto`` answers scds
+    with ``fast.gamma_sc_formula`` and passes its DomainError (wrong class
+    or disconnected) on to the exact search, which answers the other
+    variants too and reports any refusal.  A graph with fewer than n - 1
+    edges cannot be connected, so ``auto`` skips the formulas for it.
     """
     from .graph import DomainError
 
@@ -84,17 +82,13 @@ def gamma(
         from .fast import gamma_sc_block, gamma_sc_threshold
 
         return (gamma_sc_block if method == "block" else gamma_sc_threshold)(graph)
-    if method == "auto" and variant == "scds" and graph.n >= 1:
-        if graph.is_complete():
-            return trivial_complete(time.perf_counter())
-        if graph.m >= graph.n - 1:
-            from .fast import gamma_sc_block, gamma_sc_threshold
+    if method == "auto" and variant == "scds" and graph.m >= graph.n - 1:
+        from .fast import gamma_sc_formula
 
-            for formula in (gamma_sc_block, gamma_sc_threshold):
-                try:
-                    return formula(graph)
-                except DomainError:
-                    pass
+        try:
+            return gamma_sc_formula(graph)
+        except DomainError:
+            pass
     from .exact import solve
 
     return solve(graph, variant, max_n=max_n)

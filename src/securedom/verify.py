@@ -98,16 +98,6 @@ def _induces_connected(
     return flagged_reach(adj, bytearray(inside), next(iter(s))) == len(s)
 
 
-def epn(graph: Graph, v: int, members: Iterable[int]) -> frozenset[int]:
-    """External private neighbors of v: outside vertices whose only closed-
-    neighborhood member inside the set is v."""
-    s = set(members)
-    if v not in s:
-        raise DomainError(f"vertex {v} is not in the set")
-    private = _private_neighbours(graph.adj, _member_flags(graph, s), True)
-    return frozenset(private.get(v, ())) - {v}
-
-
 def _swap_check(
     graph: Graph, s: set[int], keeps_property: Callable[[Graph, set[int]], bool]
 ) -> tuple[bool, DefenderMap]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import statistics
 import time
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -249,13 +250,17 @@ def test_criterion_8_structural_facts_hold_on_every_exact_solve():
     _line("criterion 8 (structural facts on exact solves)", not violations, detail)
 
 
-def _median_runtime(solver, graph, runs: int = 3) -> float:
-    times = []
+def _median_runtimes(*calls, runs: int = 3) -> list[float]:
+    """The median wall time of each call, over ``runs`` rounds that run the
+    calls in turn, so that load drift on a shared host lands on every call
+    alike instead of on the ratio between them."""
+    times: list[list[float]] = [[] for _ in calls]
     for _ in range(runs):
-        t0 = time.perf_counter()
-        solver(graph)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        for call, row in zip(calls, times):
+            t0 = time.perf_counter()
+            call()
+            row.append(time.perf_counter() - t0)
+    return [statistics.median(row) for row in times]
 
 
 @pytest.mark.parametrize(
@@ -266,8 +271,8 @@ def _median_runtime(solver, graph, runs: int = 3) -> float:
     ],
 )
 def test_criterion_9_linear_solvers_scale(name, builder, solver):
-    base = _median_runtime(solver, builder(100_000))
-    doubled = _median_runtime(solver, builder(200_000))
+    graphs = [builder(n) for n in (100_000, 200_000)]
+    base, doubled = _median_runtimes(*(partial(solver, g) for g in graphs))
     ratio = doubled / base if base > 0 else float("inf")
     _line(
         f"criterion 9 ({name} solver linearity)",
@@ -285,13 +290,13 @@ def test_criterion_9_linear_solvers_scale(name, builder, solver):
 )
 def test_criterion_10_witness_reverification_scales(name, builder, solver):
     """The re-check `gamma` runs before printing stays near-linear."""
-    runtimes = []
+    checks = []
     for n in (100_000, 200_000):
         graph = builder(n)
         witness = solver(graph).witness
         assert check_variant(graph, "scds", witness)
-        runtimes.append(_median_runtime(lambda g: check_variant(g, "scds", witness), graph))
-    base, doubled = runtimes
+        checks.append(partial(check_variant, graph, "scds", witness))
+    base, doubled = _median_runtimes(*checks)
     ratio = doubled / base if base > 0 else float("inf")
     _line(
         f"criterion 10 ({name} witness re-verification linearity)",
@@ -306,7 +311,8 @@ def test_criterion_11_parse_build_recognize_pipeline_scales():
     def pipeline(graph):
         assert is_block_graph(from_edge_list(to_edge_list(graph)))
 
-    base, doubled = (_median_runtime(pipeline, bench_block_graph(n)) for n in (100_000, 200_000))
+    graphs = [bench_block_graph(n) for n in (100_000, 200_000)]
+    base, doubled = _median_runtimes(*(partial(pipeline, g) for g in graphs))
     ratio = doubled / base if base > 0 else float("inf")
     _line(
         "criterion 11 (parse-build-recognize pipeline linearity)",

@@ -42,7 +42,7 @@ from securedom import (
 )
 from securedom.cli import main
 from securedom.fast import validate_partition
-from securedom.report import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL
+from securedom.report import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL, trivial_complete
 from securedom.verify import is_scds_definition
 
 
@@ -320,8 +320,9 @@ def test_threshold_solver_rejects_disconnected_threshold_graphs():
     star_and_isolated = Graph.from_edges(5, star_graph(3).edges())
     for g in (triangle_and_isolated, star_and_isolated):
         assert not isinstance(recognize_threshold(g), ThresholdRejection)
-        with pytest.raises(DomainError, match="threshold solver requires a connected graph"):
-            gamma_sc_threshold(g)
+        for formula in (gamma_sc_threshold, fast.gamma_sc_formula):
+            with pytest.raises(DomainError, match="threshold solver requires a connected graph"):
+                formula(g)
 
 
 def test_threshold_connectivity_rule_matches_a_search_on_every_labeled_graph():
@@ -332,7 +333,9 @@ def test_threshold_connectivity_rule_matches_a_search_on_every_labeled_graph():
             g = Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
             ordering = recognize_threshold(g)
             if not isinstance(ordering, ThresholdRejection):
-                assert fast._threshold_connected(g, ordering) == g.is_connected(), g.edges()
+                connected, block_graph = fast._threshold_shape(g, ordering)
+                assert connected == g.is_connected(), g.edges()
+                assert block_graph == (connected and is_block_graph(g)), g.edges()
                 if g.is_connected() and not g.is_complete():
                     star = g.m == n - 1 and max(map(len, g.adj)) == n - 1
                     assert (len(ordering.clique_order) == 1) == star, g.edges()
@@ -525,11 +528,65 @@ def test_gamma_auto_runs_each_recognizer_once(monkeypatch):
             return _original(graph)
 
         monkeypatch.setattr(fast, name, counted)
+    # the bowtie is not threshold, so the block formula answers it; the paw
+    # and K4 are, and the certificate sends them on without a block walk
     gamma(bowtie_graph(), "scds")
-    assert calls == {"block_decompose": 1}
-    calls.clear()
-    gamma(paw_like(), "scds")
-    assert calls == {"block_decompose": 1, "recognize_threshold": 1}
+    assert calls == {"recognize_threshold": 1, "block_decompose": 1}
+    for g in (paw_like(), complete_graph(4)):
+        calls.clear()
+        gamma(g, "scds")
+        assert calls == {"recognize_threshold": 1}
+
+
+def _stepwise_auto(graph):
+    """The ``auto`` scds dispatch as it was before one threshold certificate
+    chose the formula: the complete-graph shortcut, then the block formula,
+    then the threshold formula, then the exact search, each formula passing
+    on DomainError."""
+    if graph.n >= 1 and graph.is_complete():
+        return trivial_complete(0.0)
+    if graph.n >= 1 and graph.m >= graph.n - 1:
+        for formula in (gamma_sc_block, gamma_sc_threshold):
+            try:
+                return formula(graph)
+            except DomainError:
+                pass
+    return solve(graph, "scds")
+
+
+def _outcome(run, graph):
+    try:
+        report = run(graph)
+    except DomainError as exc:
+        return str(exc)
+    return report.value, report.witness, report.method
+
+
+def test_gamma_auto_matches_the_stepwise_dispatch():
+    def labeled(n):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+
+    def seeded():
+        for n in range(2, 16):
+            for seed in range(60):
+                yield random_threshold_graph(n, seed)
+                yield random_block_graph(n, seed)
+                yield random_tree(n, seed)
+                yield random_graph(n, 0.5, seed)
+
+    # a clique plus isolated vertices: threshold, disconnected, m >= n - 1
+    padded = (Graph.from_edges(k + i, complete_graph(k).edges()) for k in range(4, 8) for i in (1, 2, 3))
+    bench = (bench_threshold_graph(20_000), bench_block_graph(20_000))
+    corpus = [g for n in range(7) for g in labeled(n)]
+    corpus += [*seeded(), *padded, *bench]
+    methods = Counter()
+    for g in corpus:
+        expected = _outcome(_stepwise_auto, g)
+        assert _outcome(lambda h: gamma(h, "scds"), g) == expected, g.edges()
+        methods[expected[2] if isinstance(expected, tuple) else "refused"] += 1
+    assert set(methods) == {METHOD_TRIVIAL, METHOD_BLOCK, METHOD_THRESHOLD, METHOD_EXACT, "refused"}
 
 
 def test_gamma_named_methods_and_refusals():

@@ -17,7 +17,6 @@ from securedom import (
     DomainError,
     Graph,
     enumerate_connected_graphs,
-    epn,
     is_connected_dominating,
     is_dominating,
     is_scds,
@@ -60,14 +59,6 @@ def test_is_total_dominating():
     assert is_total_dominating(path_graph(4), {1, 2})
     assert not is_total_dominating(path_graph(3), {1})
     assert is_total_dominating(cycle_graph(4), {0, 1})
-
-
-def test_epn():
-    assert epn(path_graph(3), 1, {1}) == {0, 2}
-    assert epn(complete_graph(4), 0, {0, 1}) == frozenset()
-    assert epn(path_graph(4), 1, {1, 2}) == {0}
-    with pytest.raises(DomainError):
-        epn(path_graph(3), 0, {1})
 
 
 def test_scds_definition_examples():
@@ -277,8 +268,6 @@ def test_members_outside_the_range_raise_the_graphs_range_error(g):
             ):
                 with pytest.raises(DomainError, match=outside):
                     check()
-        with pytest.raises(DomainError, match=outside):
-            epn(g, min(members), members)
 
 
 def test_checkers_are_total_on_disconnected_graphs():
