@@ -9,10 +9,11 @@ recognized by degree peeling: repeatedly remove a vertex that is isolated or
 universal in the remaining graph.  Because removing an isolated vertex
 changes no remaining degree and removing a universal vertex lowers every
 remaining degree by exactly one, the peel runs with two pointers over the
-degree-sorted vertex order and a single removed-universal counter, keeping
-the whole recognition linear apart from the initial sort.
+degree-sorted vertex order, whose positions count the removed vertices; a
+graph with no vertex of degree 0 or n - 1 is refused before the sort.
 ``gamma_sc_formula`` picks a solver for ``auto`` from one threshold
-certificate.  Both solvers return through ``report.formula_report``, which
+certificate and one ``_threshold_shape``, whose pendant count the threshold
+formula reuses.  Both solvers return through ``report.formula_report``, which
 checks that the witness size equals the formula's value.
 """
 
@@ -22,7 +23,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .graph import DomainError, Graph, lowpoint_walk
 from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, formula_report, trivial_complete
@@ -170,29 +171,33 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
 # -- split graphs ----------------------------------------------------------
 
 
+def _clique_flags(graph: Graph, clique: Collection[int]) -> Callable[[int], int] | None:
+    """The flag lookup of one flag per vertex marking ``clique``, or None
+    unless every clique vertex has |clique| - 1 flagged neighbours."""
+    in_clique = bytearray(graph.n)
+    for v in clique:
+        in_clique[v] = 1
+    flag = in_clique.__getitem__
+    adj = graph.adj
+    want = len(clique) - 1
+    for u in clique:
+        if sum(map(flag, adj[u])) != want:
+            return None
+    return flag
+
+
 def validate_partition(graph: Graph, partition: SplitPartition) -> bool:
     """True iff clique/independent cover V disjointly and induce what they claim.
 
-    One flag per vertex marks the clique side: every clique vertex must have
-    |clique| - 1 flagged neighbors, and every independent vertex only
-    flagged ones.
+    ``_clique_flags`` checks the clique side, and every independent vertex
+    must have only flagged neighbours.
     """
     c, i = partition.clique, partition.independent
     if c & i or (c | i) != frozenset(range(graph.n)):
         return False
-    in_clique = bytearray(graph.n)
-    for v in c:
-        in_clique[v] = 1
-    flag = in_clique.__getitem__
+    flag = _clique_flags(graph, c)
     adj = graph.adj
-    want = len(c) - 1
-    for u in c:
-        if sum(map(flag, adj[u])) != want:
-            return False
-    for u in i:
-        if not all(map(flag, adj[u])):
-            return False
-    return True
+    return flag is not None and all(all(map(flag, adj[u])) for u in i)
 
 
 # An induced 2K2 is a 1-regular subgraph on four vertices, and C4 and C5 are
@@ -231,10 +236,10 @@ def recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
     first that ``_find_split_obstruction`` meets.
     """
     n = graph.n
-    adj = graph.adj
-    # The sort is stable over ascending ids, so equal degrees keep id order.
-    order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
-    degs = [len(adj[v]) for v in order]
+    degrees = list(map(len, graph.adj))
+    # The sort is stable, also reversed, so equal degrees keep id order.
+    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
+    degs = list(map(degrees.__getitem__, order))
     k = 0
     while k < n and degs[k] >= k:
         k += 1
@@ -268,31 +273,27 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
     n = graph.n
     if n == 0:
         return ThresholdRejection(reason="empty graph")
-    adj = graph.adj
+    degrees = list(map(len, graph.adj))
+    # The peel's first step needs a vertex of degree 0 or n - 1.
+    if min(degrees) and max(degrees) < n - 1:
+        return ThresholdRejection(reason="no isolated or universal vertex remains", remaining=n)
     # The sort is stable over ascending ids, so equal degrees keep id order.
-    order = sorted(range(n), key=list(map(len, adj)).__getitem__)
+    order = sorted(range(n), key=degrees.__getitem__)
+    # order[:lo] are peeled as isolated and order[hi + 1:] as universal, so a
+    # remaining vertex is isolated at degree n - 1 - hi, universal at n - 1 - lo.
     lo, hi = 0, n - 1
-    removed_universal: list[int] = []
-    removed_isolated: list[int] = []
-    universal_count = 0
-    alive = n
-    while alive:
-        if len(adj[order[lo]]) == universal_count:
-            removed_isolated.append(order[lo])
+    while lo <= hi:
+        if degrees[order[lo]] == n - 1 - hi:
             lo += 1
-            alive -= 1
-        elif len(adj[order[hi]]) == universal_count + alive - 1:
-            removed_universal.append(order[hi])
+        elif degrees[order[hi]] == n - 1 - lo:
             hi -= 1
-            alive -= 1
-            universal_count += 1
         else:
             return ThresholdRejection(
-                reason="no isolated or universal vertex remains", remaining=alive
+                reason="no isolated or universal vertex remains", remaining=hi - lo + 1
             )
-    clique_order = tuple(reversed(removed_universal))
-    independent_order = tuple(reversed(removed_isolated))
-    ordering = ThresholdOrdering(clique_order=clique_order, independent_order=independent_order)
+    ordering = ThresholdOrdering(
+        clique_order=tuple(order[lo:]), independent_order=tuple(reversed(order[:lo]))
+    )
     if not _threshold_ordering_valid(graph, ordering):
         return ThresholdRejection(reason="nesting chains failed validation")
     return ordering
@@ -301,7 +302,7 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
 def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
     """Certify the orders in O(n + m) by counting neighbours.
 
-    The clique side must be a clique (a flag count per clique vertex), the
+    The clique side must be a clique (``_clique_flags``), the
     degrees along independent_order must not increase and stay at most
     |C|, and the clique vertices must account for every independent
     degree, so no edge joins two independent vertices.  The clique vertex
@@ -316,13 +317,8 @@ def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool
     adj = graph.adj
     xs = ordering.clique_order
     top = len(xs)
-    in_clique = bytearray(graph.n)
-    for x in xs:
-        in_clique[x] = 1
-    flag = in_clique.__getitem__
-    for x in xs:
-        if sum(map(flag, adj[x])) != top - 1:
-            return False
+    if _clique_flags(graph, xs) is None:
+        return False
     degrees = list(map(len, map(adj.__getitem__, ordering.independent_order)))
     if degrees and (degrees[0] > top or degrees != sorted(degrees, reverse=True)):
         return False
@@ -337,19 +333,19 @@ def _threshold_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool
     return True
 
 
-def _threshold_shape(graph: Graph, ordering: ThresholdOrdering) -> tuple[bool, bool]:
-    """(connected, block graph) for a threshold graph, read off its
-    certificate.  With two or more vertices it is connected iff the last
-    clique-order vertex is universal; then the p pendants hang on it and
-    the other h = n - p vertices form one 2-connected block, so it is a
+def _threshold_shape(graph: Graph, ordering: ThresholdOrdering) -> tuple[bool, bool, int]:
+    """(connected, block graph, pendant count) for a threshold graph, read
+    off its certificate.  With two or more vertices it is connected iff the
+    last clique-order vertex is universal; then the p pendants hang on it
+    and the other h = n - p vertices form one 2-connected block, so it is a
     block graph iff n <= 2 or that block is a clique (m - p = h(h-1)/2)."""
     n, adj = graph.n, graph.adj
+    pendants = list(map(len, adj)).count(1)
     xs = ordering.clique_order
     if n > 1 and not (xs and len(adj[xs[-1]]) == n - 1):
-        return False, False
-    pendants = list(map(len, adj)).count(1)
+        return False, False, pendants
     h = n - pendants
-    return True, n <= 2 or graph.m - pendants == h * (h - 1) // 2
+    return True, n <= 2 or graph.m - pendants == h * (h - 1) // 2, pendants
 
 
 def gamma_sc_threshold(graph: Graph) -> SolveReport:
@@ -369,12 +365,16 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     ordering = recognize_threshold(graph)
     if isinstance(ordering, ThresholdRejection):
         raise DomainError(f"not a threshold graph: {ordering.reason}")
-    return _threshold_formula(graph, ordering, start)
+    return _threshold_formula(graph, ordering, _threshold_shape(graph, ordering), start)
 
 
-def _threshold_formula(graph: Graph, ordering: ThresholdOrdering, start: float) -> SolveReport:
-    """``gamma_sc_threshold`` on a graph whose certificate is ``ordering``."""
-    if not _threshold_shape(graph, ordering)[0]:
+def _threshold_formula(
+    graph: Graph, ordering: ThresholdOrdering, shape: tuple[bool, bool, int], start: float
+) -> SolveReport:
+    """``gamma_sc_threshold`` on a graph whose certificate is ``ordering``
+    and whose ``_threshold_shape`` is ``shape``."""
+    connected, _, pendants = shape
+    if not connected:
         raise DomainError("threshold solver requires a connected graph")
     if graph.is_complete():
         return trivial_complete(start)
@@ -390,7 +390,6 @@ def _threshold_formula(graph: Graph, ordering: ThresholdOrdering, start: float) 
     adj = graph.adj
     window = [y for y in adj[xs[-1]] if len(adj[y]) == 1]
     witness = frozenset(xs[-2:]).union(window)
-    pendants = sum(1 for a in adj if len(a) == 1)
     return formula_report(METHOD_THRESHOLD, 2 + pendants, witness, start)
 
 
@@ -401,10 +400,10 @@ def gamma_sc_formula(graph: Graph) -> SolveReport:
     chosen formula's DomainError when it does not apply."""
     start = time.perf_counter()
     ordering = recognize_threshold(graph)
-    if isinstance(ordering, ThresholdOrdering) and (
-        graph.is_complete() or not _threshold_shape(graph, ordering)[1]
-    ):
-        return _threshold_formula(graph, ordering, start)
+    if isinstance(ordering, ThresholdOrdering):
+        shape = _threshold_shape(graph, ordering)
+        if graph.is_complete() or not shape[1]:
+            return _threshold_formula(graph, ordering, shape, start)
     return gamma_sc_block(graph)
 
 
@@ -451,7 +450,7 @@ def recognize_classes(graph: Graph) -> tuple[dict[str, bool], SplitRejection | N
     rejection = None
     if threshold:
         xs = ordering.clique_order
-        connected, block_graph = _threshold_shape(graph, ordering)
+        connected, block_graph, _ = _threshold_shape(graph, ordering)
         bipartite = len(xs) <= 1 or (
             len(xs) == 2 and all(len(adj[y]) <= 1 for y in ordering.independent_order)
         )

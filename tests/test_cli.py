@@ -3,17 +3,22 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
-from securedom.cli import main
+from conftest import SRC, run_python
+from securedom.cli import build_parser, main
 from securedom.graph import MAX_VERTICES
 from securedom.names import FAMILY_KINDS, REDUCTION_KIND_NAMES
 from securedom.report import METHODS
@@ -583,3 +588,29 @@ def test_cli_warnings_are_one_stable_line_each(graph_file):
     )
     assert result.returncode == 1
     assert result.stderr.splitlines()[-1] == "UserWarning: 1 duplicate edge(s) collapsed"
+
+
+LADDER4 = "p 8 10\n0 1\n1 2\n2 3\n4 5\n5 6\n6 7\n0 4\n1 5\n2 6\n3 7\n"
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The ``securedom`` lines of README's "Command line" block, split as a
+    shell would, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("securedom ")]
+
+
+def test_readme_command_lines_run_as_written(tmp_path):
+    # the README's commands read graph.el; a ladder on 8 vertices is small
+    # enough for every exact search they start and has the vertex 7 of --set
+    (tmp_path / "graph.el").write_text(LADDER4)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    commands = _readme_command_lines()
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+    subcommands = {build_parser().parse_args(argv[1:]).command for argv in commands}
+    assert subcommands == {"gamma", "verify", "recognize", "family", "reduce", "check-equivalence", "crosscheck"}

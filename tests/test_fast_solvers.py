@@ -333,9 +333,10 @@ def test_threshold_connectivity_rule_matches_a_search_on_every_labeled_graph():
             g = Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
             ordering = recognize_threshold(g)
             if not isinstance(ordering, ThresholdRejection):
-                connected, block_graph = fast._threshold_shape(g, ordering)
+                connected, block_graph, pendants = fast._threshold_shape(g, ordering)
                 assert connected == g.is_connected(), g.edges()
                 assert block_graph == (connected and is_block_graph(g)), g.edges()
+                assert pendants == len(g.leaves()), g.edges()
                 if g.is_connected() and not g.is_complete():
                     star = g.m == n - 1 and max(map(len, g.adj)) == n - 1
                     assert (len(ordering.clique_order) == 1) == star, g.edges()
@@ -522,20 +523,26 @@ def test_gamma_auto_method_per_path():
 
 def test_gamma_auto_runs_each_recognizer_once(monkeypatch):
     calls = Counter()
-    for name in ("block_decompose", "recognize_threshold"):
-        def counted(graph, _name=name, _original=getattr(fast, name)):
+    for name in ("block_decompose", "recognize_threshold", "_threshold_shape"):
+        def counted(*args, _name=name, _original=getattr(fast, name)):
             calls[_name] += 1
-            return _original(graph)
+            return _original(*args)
 
         monkeypatch.setattr(fast, name, counted)
-    # the bowtie is not threshold, so the block formula answers it; the paw
-    # and K4 are, and the certificate sends them on without a block walk
+    # the bowtie is not threshold, so the block formula answers it without a
+    # shape; the paw is a threshold block graph, which one shape sends to the
+    # block formula; paw_like and K4 are threshold graphs that one
+    # certificate and one shape send on without a block walk
     gamma(bowtie_graph(), "scds")
     assert calls == {"recognize_threshold": 1, "block_decompose": 1}
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    calls.clear()
+    gamma(paw, "scds")
+    assert calls == {"recognize_threshold": 1, "_threshold_shape": 1, "block_decompose": 1}
     for g in (paw_like(), complete_graph(4)):
         calls.clear()
         gamma(g, "scds")
-        assert calls == {"recognize_threshold": 1}
+        assert calls == {"recognize_threshold": 1, "_threshold_shape": 1}
 
 
 def _stepwise_auto(graph):

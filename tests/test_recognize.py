@@ -7,12 +7,14 @@ from __future__ import annotations
 import io
 import json
 import random
+from bisect import bisect_left
+from collections import Counter
 from contextlib import redirect_stdout
 from itertools import combinations, permutations
 
 import pytest
 
-from conftest import canonical_form
+from conftest import bench_block_graph, bench_threshold_graph, canonical_form
 from securedom import (
     DomainError,
     Graph,
@@ -24,6 +26,7 @@ from securedom import (
     enumerate_connected_graphs,
     is_bipartite,
     random_block_graph,
+    random_graph,
     random_split_graph,
     random_threshold_graph,
     random_tree,
@@ -385,3 +388,177 @@ def test_recognize_threshold_rejects_with_the_same_reason_when_the_certificate_f
     monkeypatch.setattr(fast, "_threshold_ordering_valid", lambda graph, ordering: False)
     rejection = recognize_threshold(random_threshold_graph(12, 3))
     assert rejection == ThresholdRejection(reason="nesting chains failed validation")
+
+
+# -- the recognizers against copies of the code they replaced ---------------
+#
+# The copies read each vertex's degree off its row as often as they need it,
+# sort before the peel can refuse, flag the clique side in two places and
+# sort the split order on negated degrees.  The recognizers must return the
+# same records, field by field.
+
+
+def _copied_validate_partition(graph: Graph, partition: SplitPartition) -> bool:
+    c, i = partition.clique, partition.independent
+    if c & i or (c | i) != frozenset(range(graph.n)):
+        return False
+    in_clique = bytearray(graph.n)
+    for v in c:
+        in_clique[v] = 1
+    flag = in_clique.__getitem__
+    adj = graph.adj
+    want = len(c) - 1
+    for u in c:
+        if sum(map(flag, adj[u])) != want:
+            return False
+    for u in i:
+        if not all(map(flag, adj[u])):
+            return False
+    return True
+
+
+def _copied_recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
+    n = graph.n
+    adj = graph.adj
+    order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
+    degs = [len(adj[v]) for v in order]
+    k = 0
+    while k < n and degs[k] >= k:
+        k += 1
+    if sum(degs[:k]) == k * (k - 1) + sum(degs[k:]):
+        partition = SplitPartition(clique=frozenset(order[:k]), independent=frozenset(order[k:]))
+        if _copied_validate_partition(graph, partition):
+            return partition
+    # the obstruction search is not part of the change, so both sides share it
+    found = fast._find_split_obstruction(graph)
+    if found is None:
+        return SplitRejection(reason="degree sequence fails the split equality")
+    kind, vertices = found
+    return SplitRejection(
+        reason=f"induced {kind} on vertices {list(vertices)}",
+        obstruction=vertices,
+        obstruction_kind=kind,
+    )
+
+
+def _copied_ordering_valid(graph: Graph, ordering: ThresholdOrdering) -> bool:
+    adj = graph.adj
+    xs = ordering.clique_order
+    top = len(xs)
+    in_clique = bytearray(graph.n)
+    for x in xs:
+        in_clique[x] = 1
+    flag = in_clique.__getitem__
+    for x in xs:
+        if sum(map(flag, adj[x])) != top - 1:
+            return False
+    degrees = list(map(len, map(adj.__getitem__, ordering.independent_order)))
+    if degrees and (degrees[0] > top or degrees != sorted(degrees, reverse=True)):
+        return False
+    outward = [len(adj[x]) - (top - 1) for x in xs]
+    if sum(degrees) != sum(outward):
+        return False
+    ascending = degrees[::-1]
+    count = len(ascending)
+    for r, d in enumerate(outward):
+        if d != count - bisect_left(ascending, top - r):
+            return False
+    return True
+
+
+def _copied_recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
+    n = graph.n
+    if n == 0:
+        return ThresholdRejection(reason="empty graph")
+    adj = graph.adj
+    order = sorted(range(n), key=list(map(len, adj)).__getitem__)
+    lo, hi = 0, n - 1
+    removed_universal: list[int] = []
+    removed_isolated: list[int] = []
+    universal_count = 0
+    alive = n
+    while alive:
+        if len(adj[order[lo]]) == universal_count:
+            removed_isolated.append(order[lo])
+            lo += 1
+            alive -= 1
+        elif len(adj[order[hi]]) == universal_count + alive - 1:
+            removed_universal.append(order[hi])
+            hi -= 1
+            alive -= 1
+            universal_count += 1
+        else:
+            return ThresholdRejection(
+                reason="no isolated or universal vertex remains", remaining=alive
+            )
+    ordering = ThresholdOrdering(
+        clique_order=tuple(reversed(removed_universal)),
+        independent_order=tuple(reversed(removed_isolated)),
+    )
+    if not _copied_ordering_valid(graph, ordering):
+        return ThresholdRejection(reason="nesting chains failed validation")
+    return ordering
+
+
+def _labeled_graphs(top: int):
+    """Every labeled graph on 0..top vertices."""
+    for n in range(top + 1):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+
+
+def _parity_corpus():
+    yield from _labeled_graphs(6)
+    rng = random.Random(23)
+    for n in range(2, 41):
+        for seed in range(3):
+            for graph in (
+                random_threshold_graph(n, seed),
+                random_block_graph(n, seed),
+                random_tree(n, seed),
+                random_split_graph(n, seed)[0],
+                random_graph(n, 0.5, seed),
+            ):
+                yield graph
+                yield _relabel(graph, rng)
+    yield from _seeded_graphs()
+    yield bench_threshold_graph(20_000)
+    yield bench_block_graph(20_000)
+
+
+def _partitions(graph: Graph):
+    """The degree order's prefixes of length k - 1, k and k + 1 as clique
+    sides, k being the split test's clique size."""
+    order = sorted(range(graph.n), key=lambda v: (-len(graph.adj[v]), v))
+    k = 0
+    while k < graph.n and len(graph.adj[order[k]]) >= k:
+        k += 1
+    for size in range(max(k - 1, 0), min(k + 1, graph.n) + 1):
+        yield SplitPartition(frozenset(order[:size]), frozenset(order[size:]))
+
+
+def _same(record, expected) -> bool:
+    return type(record) is type(expected) and tuple(record) == tuple(expected)
+
+
+def test_recognizers_return_the_records_of_the_code_they_replaced():
+    outcomes = Counter()
+    for graph in _parity_corpus():
+        expected = _copied_recognize_threshold(graph)
+        assert _same(recognize_threshold(graph), expected), graph.edges()
+        if isinstance(expected, ThresholdRejection):
+            outcomes[expected.reason, expected.remaining == graph.n] += 1
+        expected = _copied_recognize_split(graph)
+        assert _same(recognize_split(graph), expected), graph.edges()
+        outcomes[type(expected).__name__, getattr(expected, "obstruction_kind", None)] += 1
+        for partition in _partitions(graph):
+            verdict = _copied_validate_partition(graph, partition)
+            assert fast.validate_partition(graph, partition) == verdict, (graph.edges(), partition)
+            outcomes["validate_partition", verdict] += 1
+    # refused before the sort (every vertex left) and during the peel
+    peel = "no isolated or universal vertex remains"
+    assert {("empty graph", True), (peel, True), (peel, False)} <= set(outcomes)
+    kinds = {None, "2K2", "C4", "C5"}
+    assert {("SplitPartition", None)} | {("SplitRejection", k) for k in kinds} <= set(outcomes)
+    assert {("validate_partition", True), ("validate_partition", False)} <= set(outcomes)
