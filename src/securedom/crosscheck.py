@@ -156,9 +156,6 @@ def _check_scds_instance(
     if not is_scds_definition(graph, fast.witness)[0]:
         passed = False
         detail += " fast-witness-invalid"
-    if len(fast.witness) != fast.value:
-        passed = False
-        detail += " fast-witness-size-mismatch"
     return _audited(name, graph, exact, passed, detail)
 
 

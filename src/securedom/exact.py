@@ -5,11 +5,12 @@ in lexicographic order, returning the first certificate found.  That makes
 the reported witness the lexicographically least minimum witness, so results
 are bit-stable across runs.
 
-The search (forced vertices, lower bounds, the complete-graph shortcut)
-walks those candidates depth first as Python-int vertex masks, carrying
-the prefix cover and double cover of the chosen members.  A branch that
-cannot dominate even with every remaining vertex is cut, and so, for scds
-and stds sets of two or more, is a branch that cannot give every outside
+Each request runs one such search, with no bound and no sub-solve: it
+starts at the size of the forced vertices (at least one) and walks the
+candidates depth first as Python-int vertex masks, carrying the prefix
+cover and double cover of the chosen members.  A branch that cannot
+dominate even with every remaining vertex is cut, and so, for scds and
+stds sets of two or more, is a branch that cannot give every outside
 vertex two member neighbours.  A full-size candidate reaches the variant's
 checker only if it dominates, for cds and scds induces a connected
 subgraph, and, for scds and stds sets of two or more, covers every outside
@@ -51,12 +52,12 @@ def solve(
     vertices for tds/stds.  Graphs larger than ``max_n`` are refused (the
     search is exponential); pass ``max_n=None`` to override.
 
-    The secure-connected search short-circuits complete graphs, forces
-    leaves and supports into every candidate (n >= 3), and starts at
-    max(1 + domination number, forced-set size); the secure-total search
-    starts at the total domination number.  The candidates are walked as
-    bitsets in combinations order, with two branch cuts, two cover filters
-    and a connectivity filter in front of the checker (``_bitset_search``).
+    The secure-connected search short-circuits complete graphs and forces
+    leaves and supports into every candidate (n >= 3).  Every request runs
+    one search, from size max(1, forced-set size): the candidates are walked
+    as bitsets in combinations order, with two branch cuts, two cover
+    filters and a connectivity filter in front of the checker
+    (``_bitset_search``).
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -74,18 +75,11 @@ def solve(
         return trivial_complete(start)
 
     forced: frozenset[int] = frozenset()
-    lower = 1
-    if variant == "scds":
-        # Non-complete from here on: one below the optimum is still
-        # dominating, and every leaf and support is mandatory.
-        gamma = solve(graph, "ds", max_n=max_n).value
-        if graph.n >= 3:
-            forced = graph.leaves() | graph.supports()
-        lower = max(1 + gamma, len(forced))
-    elif variant == "stds":
-        lower = solve(graph, "tds", max_n=max_n).value
+    if variant == "scds" and graph.n >= 3:
+        # every leaf and support is mandatory
+        forced = graph.leaves() | graph.supports()
 
-    witness, nodes = _bitset_search(graph, variant, forced, lower)
+    witness, nodes = _bitset_search(graph, variant, forced)
     if witness is None:
         raise RuntimeError(f"no {variant} certificate up to size n; preconditions violated?")
     return SolveReport(
@@ -98,12 +92,10 @@ def solve(
     )
 
 
-def _bitset_search(
-    graph: Graph, variant: str, forced: frozenset[int], lower: int
-) -> tuple[frozenset[int] | None, int]:
-    """The first candidate, by size from ``lower`` and then in combinations
-    order over the free vertices, that passes the filters and the variant's
-    check, ``failure_reason(graph, variant, s) is None``.
+def _bitset_search(graph: Graph, variant: str, forced: frozenset[int]) -> tuple[frozenset[int] | None, int]:
+    """The first candidate, by size from max(1, |forced|) and then in
+    combinations order over the free vertices, that passes the filters and
+    the variant's check, ``failure_reason(graph, variant, s) is None``.
 
     Vertex sets are Python-int masks.  A candidate is the forced set plus one
     combination of the free vertices, walked depth first in combinations
@@ -200,15 +192,13 @@ def _bitset_search(
                     return found
         return leaves(once, twice, members, picks[first:stop]) if left == 1 else None
 
-    for size in range(lower, graph.n + 1):
+    for size in range(max(1, len(forced)), graph.n + 1):
         need = size - len(forced)
         double = variant in ("scds", "stds") and size >= 2
         if need > 0:
             found = extend(0, need, base_once, base_twice, base_members)
-        elif need == 0:
-            found = leaves(base_once, base_twice, base_members, [(0, 0, ())])  # no pick: forced alone
         else:
-            continue
+            found = leaves(base_once, base_twice, base_members, [(0, 0, ())])  # no pick: forced alone
         if found is not None:
             return found, nodes
     return None, nodes

@@ -28,11 +28,10 @@ class SolveReport(NamedTuple):
     """Result of a minimum-domination computation.
 
     nodes_explored counts the full-size candidates the exact search
-    reached: those the bitset walk arrives at after its branch cuts,
+    reached: those its one bitset walk arrives at after its branch cuts,
     whether or not they pass the cover filters, and 0 for the formulas and
-    the complete-graph shortcut.  Bound-estimation sub-solves are not
-    included.  The count is deterministic.  elapsed is wall time in
-    seconds.
+    the complete-graph shortcut.  The count is deterministic.  elapsed is
+    wall time in seconds.
     """
 
     variant: str

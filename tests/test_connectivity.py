@@ -253,7 +253,7 @@ def test_the_checker_sees_only_connected_candidates(monkeypatch):
     # ladder 9 scds: of the candidates reached, only the witness is connected
     checked.clear()
     report = solve(generate(FamilySpec("ladder", 9)), "scds")
-    assert report.nodes_explored == 10_432
+    assert report.nodes_explored == 10_630
     assert [s for _, s in checked] == [report.witness]
 
 
@@ -278,22 +278,19 @@ CANDIDATES_BEFORE_THE_CUT = {
 
 def _plain_walk(g: Graph, variant: str):
     """The sets a search with no branch cut hands to the check: every
-    combination of the free vertices in plain order, by size from the
-    search's lower bound, joined with its forced set and passed through the
+    combination of the free vertices in plain order, by size from
+    max(1, |forced|), joined with its forced set and passed through the
     three leaf filters (domination, two member neighbours for every outside
     vertex, connectivity).  Returns them and the first that the check accepts."""
-    forced, lower = frozenset(), 1
+    forced = frozenset()
     if variant == "scds":
         if g.is_complete():
             return [], frozenset({0})
         forced = g.leaves() | g.supports() if g.n >= 3 else frozenset()
-        lower = max(1 + solve(g, "ds").value, len(forced))
-    elif variant == "stds":
-        lower = solve(g, "tds").value
     closed = variant not in ("tds", "stds")
     free = [v for v in range(g.n) if v not in forced]
     checked = []
-    for size in range(lower, g.n + 1):
+    for size in range(max(1, len(forced)), g.n + 1):
         for combo in combinations(free, size - len(forced)):
             s = forced.union(combo)
             hits = [sum(w in s for w in g.adj[u]) + (closed and u in s) for u in range(g.n)]

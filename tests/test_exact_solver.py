@@ -18,6 +18,7 @@ from securedom import (
     Graph,
     check_equivalence,
     enumerate_connected_graphs,
+    exact,
     random_block_graph,
     random_graph,
     random_threshold_graph,
@@ -110,6 +111,29 @@ def test_variant_ordering_on_connected_non_complete_graphs():
             assert gamma <= solve(g, "cds").value
             assert gamma <= solve(g, "sds").value
             assert 1 + gamma <= solve(g, "scds").value
+            assert solve(g, "tds").value <= solve(g, "stds").value
+
+
+def test_each_request_runs_one_search(monkeypatch):
+    # the recursion looks solve up as a module global, so the wrapper also
+    # sees any nested call
+    calls = []
+    inner = exact.solve
+
+    def counting(graph, variant, **kwargs):
+        calls.append(variant)
+        return inner(graph, variant, **kwargs)
+
+    monkeypatch.setattr(exact, "solve", counting)
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    graphs += [generate(FamilySpec(kind, k)) for kind, k in (("ladder", 8), ("ladder", 9), ("subdivided_wheel", 8))]
+    for g in graphs:
+        for variant in VARIANTS:
+            if variant in ("tds", "stds") and g.n < 2:
+                continue
+            calls.clear()
+            exact.solve(g, variant)
+            assert calls == [variant], (g.edges(), variant)
 
 
 def test_secure_connected_witnesses_contain_leaves_and_supports():
@@ -157,9 +181,9 @@ def test_branch_cut_bounds_the_candidates_reached():
     first = solve(ladder9, "scds").nodes_explored
     assert first < 218_390
     assert solve(ladder9, "scds").nodes_explored == first
-    # the double-cover cut: 32,203 full-size candidates on ladder 9 stds before it
+    # the double-cover cut: 33,423 full-size candidates on ladder 9 stds without it
     report = solve(ladder9, "stds")
-    assert (report.value, report.nodes_explored) == (11, 3_286)
+    assert (report.value, report.nodes_explored) == (11, 3_475)
 
 
 def test_enumeration_class_counts():
