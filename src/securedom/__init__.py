@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "verify": (
         "VARIANTS",
-        "DefenderMap",
         "is_connected_dominating",
         "is_dominating",
         "is_scds",

@@ -33,28 +33,13 @@ class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected pieces / bridges) and cut vertices.
 
     blocks are vertex tuples in the order the lowpoint walk closes them,
-    each starting with the vertex it closes at; r is the block count, k the
-    cut-vertex count, and r_prime the number of blocks whose vertices are
-    all cut vertices.  cliques is True iff every block induces a clique,
-    that is, iff the graph is a block graph.
+    each starting with the vertex it closes at.  cliques is True iff every
+    block induces a clique, that is, iff the graph is a block graph.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: frozenset[int]
     cliques: bool
-
-    @property
-    def r(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def k(self) -> int:
-        return len(self.cut_vertices)
-
-    @property
-    def r_prime(self) -> int:
-        cut = self.cut_vertices
-        return sum(1 for b in self.blocks if cut.issuperset(b))
 
 
 class SplitPartition(NamedTuple):
@@ -150,9 +135,10 @@ def is_block_graph(graph: Graph) -> bool:
 def gamma_sc_block(graph: Graph) -> SolveReport:
     """Secure connected domination number of a block graph, with witness.
 
-    The value is cut_count + blocks - blocks_made_of_cut_vertices; the
-    witness takes every cut vertex plus, per block that has one, its
-    smallest non-cut vertex.
+    The value is the paper's k + r - r': k cut vertices, r blocks, and r'
+    blocks made only of cut vertices.  The witness takes every cut vertex
+    plus, per block that has one, its smallest non-cut vertex; the same pass
+    counts r'.
     """
     start = time.perf_counter()
     decomp = block_decompose(graph)
@@ -160,11 +146,14 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
         raise DomainError("not a block graph: some block is not a clique")
     cut = decomp.cut_vertices
     witness = set(cut)
+    r_prime = 0
     for block in decomp.blocks:
         non_cut = [v for v in block if v not in cut]
         if non_cut:
             witness.add(min(non_cut))
-    value = decomp.k + decomp.r - decomp.r_prime
+        else:
+            r_prime += 1
+    value = len(cut) + len(decomp.blocks) - r_prime
     return formula_report(METHOD_BLOCK, value, frozenset(witness), start)
 
 
@@ -382,11 +371,6 @@ def _threshold_formula(
     if len(xs) == 1:
         # the one clique vertex is universal and the rest independent: a star
         return formula_report(METHOD_THRESHOLD, graph.n, frozenset(range(graph.n)), start)
-    if len(xs) < 2:
-        raise RuntimeError(
-            "connected non-complete non-star threshold graph with fewer than two "
-            "clique-order vertices; recognition is broken"
-        )
     adj = graph.adj
     window = [y for y in adj[xs[-1]] if len(adj[y]) == 1]
     witness = frozenset(xs[-2:]).union(window)

@@ -30,24 +30,10 @@ graph's range ``DomainError``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .graph import DomainError, Graph, flagged_reach, lowpoint_walk
 from .names import VARIANTS
-
-
-class DefenderMap(NamedTuple):
-    """For each outside vertex, the set of members whose swap keeps the property.
-
-    The certificate is valid exactly when every outside vertex has a nonempty
-    defender set.  On a failed check the map covers the outside vertices
-    inspected up to and including the first undefended one.
-    """
-
-    defenders: dict[int, frozenset[int]]
-
-    def undefended(self) -> list[int]:
-        return sorted(u for u, d in self.defenders.items() if not d)
 
 
 def is_dominating(graph: Graph, members: Iterable[int]) -> bool:
@@ -100,11 +86,13 @@ def _induces_connected(
 
 def _swap_check(
     graph: Graph, s: set[int], keeps_property: Callable[[Graph, set[int]], bool]
-) -> tuple[bool, DefenderMap]:
+) -> tuple[bool, dict[int, frozenset[int]]]:
     """Common swap loop for the secure variants.
 
     For each outside u, collect defenders v in S adjacent to u whose swap
-    preserves ``keeps_property``.
+    preserves ``keeps_property``.  S is valid exactly when every outside
+    vertex has a nonempty defender set; on a failed check the map covers the
+    outside vertices inspected up to and including the first undefended one.
     """
     defenders: dict[int, frozenset[int]] = {}
     ok = True
@@ -124,7 +112,7 @@ def _swap_check(
         if not valid:
             ok = False
             break
-    return ok, DefenderMap(defenders=defenders)
+    return ok, defenders
 
 
 def _private_neighbours(
@@ -278,12 +266,12 @@ def is_secure_dominating(graph: Graph, members: Iterable[int]) -> bool:
     return failure_reason(graph, "sds", members) is None
 
 
-def is_scds_definition(graph: Graph, members: Iterable[int]) -> tuple[bool, DefenderMap]:
+def is_scds_definition(graph: Graph, members: Iterable[int]) -> tuple[bool, dict[int, frozenset[int]]]:
     """Literal secure-connected check: S is a connected dominating set and
     every outside vertex has a swap preserving connected domination."""
     s = set(members)
     if not is_connected_dominating(graph, s):
-        return False, DefenderMap(defenders={})
+        return False, {}
     return _swap_check(graph, s, is_connected_dominating)
 
 
@@ -293,12 +281,12 @@ def is_scds(graph: Graph, members: Iterable[int]) -> bool:
     return failure_reason(graph, "scds", members) is None
 
 
-def is_stds(graph: Graph, members: Iterable[int]) -> tuple[bool, DefenderMap]:
+def is_stds(graph: Graph, members: Iterable[int]) -> tuple[bool, dict[int, frozenset[int]]]:
     """Literal secure-total check: S is a total dominating set and every
     outside vertex has a swap preserving total domination."""
     s = set(members)
     if not s or not is_total_dominating(graph, s):
-        return False, DefenderMap(defenders={})
+        return False, {}
     return _swap_check(graph, s, is_total_dominating)
 
 

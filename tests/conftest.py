@@ -51,6 +51,13 @@ def canonical_form(graph: Graph) -> tuple[int, int]:
     return graph.n, min(exact._relabelings(graph.n, sum(1 << slot[e] for e in graph.edges())))
 
 
+def block_counts(decomp) -> tuple[int, int, int]:
+    """The paper's (r, k, r') of a block decomposition: the block count, the
+    cut-vertex count and the number of blocks made only of cut vertices."""
+    cut = decomp.cut_vertices
+    return len(decomp.blocks), len(cut), sum(1 for b in decomp.blocks if cut.issuperset(b))
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -11,6 +11,7 @@ import securedom.fast as fast
 from conftest import (
     bench_block_graph,
     bench_threshold_graph,
+    block_counts,
     bowtie_graph,
     closed_neighborhood,
     complete_graph,
@@ -58,14 +59,14 @@ def paw_like():
 
 def test_block_decomposition_examples():
     d = block_decompose(bowtie_graph())
-    assert (d.r, d.k, d.r_prime) == (2, 1, 0)
+    assert block_counts(d) == (2, 1, 0)
     assert d.cut_vertices == {2}
     assert d.blocks == ((2, 3, 4), (0, 1, 2))
     d = block_decompose(path_graph(4))
-    assert (d.r, d.k, d.r_prime) == (3, 2, 1)
+    assert block_counts(d) == (3, 2, 1)
     assert d.blocks == ((2, 3), (1, 2), (0, 1))
     d = block_decompose(complete_graph(4))
-    assert (d.r, d.k, d.r_prime) == (1, 0, 0)
+    assert block_counts(d) == (1, 0, 0)
 
 
 def test_block_decomposition_invariants():
@@ -83,7 +84,7 @@ def test_block_decomposition_invariants():
             in_blocks = sum(1 for b in d.blocks if v in b)
             assert (v in d.cut_vertices) == (in_blocks >= 2)
     tree = path_graph(7)
-    assert block_decompose(tree).r == 6
+    assert block_counts(block_decompose(tree))[0] == 6
 
 
 def test_block_decompose_requires_connected():
@@ -214,7 +215,7 @@ def test_single_cut_vertex_gives_block_count_plus_one():
         7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
     )
     d = block_decompose(windmill)
-    assert (d.r, d.k, d.r_prime) == (3, 1, 0)
+    assert block_counts(d) == (3, 1, 0)
     report = gamma_sc_block(windmill)
     assert report.value == 4
     assert report.value == solve(windmill, "scds").value
@@ -226,7 +227,7 @@ def test_all_cut_block_contributes_no_extra_vertex():
         6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
     )
     d = block_decompose(chain)
-    assert (d.r, d.k, d.r_prime) == (3, 2, 1)
+    assert block_counts(d) == (3, 2, 1)
     report = gamma_sc_block(chain)
     assert report.value == 2 + 3 - 1 == solve(chain, "scds").value
 

@@ -58,26 +58,45 @@ def test_every_private_helper_is_used_in_the_package():
     assert dead == []
 
 
-def test_every_public_graph_method_is_used_in_the_package():
-    # a Graph query that no package code calls outside its own definition is
-    # dead, even when a test still calls it.  Graph.components is exempt
-    # while perfbench/tracer.py wraps it by name (ROADMAP item 7).
+def test_every_public_method_of_a_class_is_read_in_the_package():
+    # a public method or property of a package class that no package code
+    # reads as an attribute outside its own definition is dead, even when a
+    # test still calls it.  Graph.components is exempt while
+    # perfbench/tracer.py wraps it by name (ROADMAP item 7).
     nodes = list(_nodes())
-    (graph_class,) = [
-        node for module, node in nodes if module == "graph.py" and isinstance(node, ast.ClassDef) and node.name == "Graph"
-    ]
     own = {
-        stmt.name: {id(n) for n in ast.walk(stmt)}
-        for stmt in graph_class.body
+        f"{node.name}.{stmt.name}": (stmt.name, {id(n) for n in ast.walk(stmt)})
+        for _, node in nodes
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
         if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
     }
-    assert "edges" in own
-    called = {
-        node.attr
-        for _, node in nodes
-        if isinstance(node, ast.Attribute) and node.attr in own and id(node) not in own[node.attr]
-    }
-    assert sorted(own.keys() - called - {"components"}) == []
+    assert "Graph.edges" in own
+    reads: dict[str, list[int]] = {}
+    for _, node in nodes:
+        if isinstance(node, ast.Attribute):
+            reads.setdefault(node.attr, []).append(id(node))
+    dead = [
+        method
+        for method, (name, body) in own.items()
+        if method != "Graph.components" and all(r in body for r in reads.get(name, []))
+    ]
+    assert dead == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import that binds a name its module never reads is a leftover;
+    # annotations count as reads
+    bound: dict[tuple[str, str], int] = {}
+    read = set()
+    for module, node in _nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[module, alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add((module, node.id))
+    assert ("verify.py", "bisect_right") in bound
+    assert [f"{module}:{line}:{name}" for (module, name), line in bound.items() if (module, name) not in read] == []
 
 
 def test_formula_report_refuses_a_witness_of_the_wrong_size():

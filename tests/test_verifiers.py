@@ -64,7 +64,7 @@ def test_is_total_dominating():
 def test_scds_definition_examples():
     ok, dmap = is_scds_definition(complete_graph(4), {0})
     assert ok
-    assert all(dmap.defenders[u] == {0} for u in (1, 2, 3))
+    assert all(dmap[u] == {0} for u in (1, 2, 3))
     ok, _ = is_scds_definition(path_graph(4), {1, 2})
     assert not ok
     ok, _ = is_scds_definition(ladder3(), {0, 1, 2, 4})
@@ -88,13 +88,13 @@ def test_is_stds():
     assert is_stds(cycle_graph(4), {0, 1, 2})[0]
     assert not is_stds(path_graph(4), {1, 2})[0]
     assert is_stds(complete_graph(4), {0, 1})[0]
-    assert not is_stds(path_graph(2), set())[0]
+    assert is_stds(path_graph(2), set()) == (False, {})
 
 
 def test_defender_map_on_failure_names_undefended_vertex():
     ok, dmap = is_stds(path_graph(4), {1, 2})
     assert not ok
-    assert dmap.undefended() == [0]
+    assert [u for u, d in dmap.items() if not d] == [0]
 
 
 def test_checkers_agree_on_all_subsets_of_small_connected_graphs():
@@ -137,7 +137,7 @@ def test_secure_sets_contain_leaves_and_supports_and_never_use_them_as_defenders
                 if not ok:
                     continue
                 assert mandatory <= s
-                for defenders in dmap.defenders.values():
+                for defenders in dmap.values():
                     assert not (defenders & mandatory)
 
 
@@ -158,7 +158,7 @@ def test_defender_maps_list_only_adjacent_members():
         for g in enumerate_connected_graphs(n):
             for s in all_subsets(n):
                 _, dmap = is_scds_definition(g, s)
-                for u, defenders in dmap.defenders.items():
+                for u, defenders in dmap.items():
                     assert u not in s
                     for v in defenders:
                         assert v in s
@@ -182,8 +182,12 @@ def _assert_fast_matches_literal(g, s, counts):
             continue
         counts[variant] += 1
         ok, dmap = _swap_check(g, set(s), base)
-        expected = None if ok else f"vertex {dmap.undefended()[0]} has no valid defender"
         case = (g.n, g.edges(), sorted(s), variant)
+        # the loop stops at the first undefended vertex: the map holds at
+        # most one empty entry, the last one inserted, and none when S passes
+        undefended = [u for u, d in dmap.items() if not d]
+        assert undefended == ([] if ok else [list(dmap)[-1]]), case
+        expected = None if ok else f"vertex {undefended[0]} has no valid defender"
         assert check_variant(g, variant, s) == ok, case
         assert failure_reason(g, variant, s) == expected, case
 
