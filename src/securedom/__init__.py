@@ -34,15 +34,7 @@ _EXPORTS = {
     ),
     "graph": ("ComponentLabeling", "DomainError", "Graph", "ParseError", "from_edge_list", "to_edge_list"),
     "report": ("SolveReport", "gamma"),
-    "reductions": (
-        "REDUCTION_KINDS",
-        "EquivalenceReport",
-        "ReductionArtifact",
-        "check_equivalence",
-        "reduce_bipartite",
-        "reduce_split",
-        "reduce_universal",
-    ),
+    "reductions": ("REDUCTION_KINDS", "EquivalenceReport", "ReductionArtifact", "check_equivalence"),
     "verify": (
         "VARIANTS",
         "is_connected_dominating",

@@ -1,4 +1,5 @@
-"""Hardness-reduction gadget builders and an empirical equivalence checker.
+"""Hardness-reduction gadgets, all made by ``build``, and an empirical
+equivalence checker.
 
 Three constructions, each with a secure-connected and a secure-total
 flavor:
@@ -26,9 +27,8 @@ from .graph import DomainError, Graph
 from .names import REDUCTION_KINDS
 
 # The split recognizer loads with the split kinds and the exact search with
-# check_equivalence, so the universal and bipartite builders run without them.
+# check_equivalence, so the universal and bipartite kinds build without them.
 
-_UNIVERSAL_KINDS = ("dm_to_scdm", "dm_to_stdm")
 _BIPARTITE_KINDS = ("scdm_to_scdb", "stdm_to_stdb")
 _SPLIT_KINDS = ("dm_split_to_scdm_split", "dm_split_to_stdm_split")
 
@@ -63,41 +63,14 @@ class ReductionArtifact(_Artifact):
         return super().__new__(cls, kind, output_graph, input_parameter, output_parameter, provenance)
 
 
-def reduce_universal(graph: Graph, k: int, kind: str = "dm_to_scdm") -> ReductionArtifact:
-    """Append a vertex adjacent to all of V; parameter becomes k + 1."""
-    if kind not in _UNIVERSAL_KINDS:
-        raise DomainError(f"kind {kind!r} is not a universal-vertex reduction")
-    if k < 1:
-        raise DomainError("parameter must be at least 1")
-    # x takes the highest id, so appending it keeps every row sorted.
-    x = graph.n
-    adj = [row + (x,) for row in graph.adj]
-    adj.append(tuple(range(x)))
-    provenance = {u: f"v{u}" for u in range(graph.n)}
-    provenance[x] = "x"
-    return ReductionArtifact(
-        kind=kind,
-        output_graph=Graph(x + 1, tuple(adj), graph.m + x),
-        input_parameter=k,
-        output_parameter=k + 1,
-        provenance=provenance,
-    )
-
-
-def reduce_bipartite(graph: Graph, r: int, kind: str = "scdm_to_scdb") -> ReductionArtifact:
-    """Doubled bipartite gadget; parameter becomes r + 2.
+def _doubled_bipartite(graph: Graph) -> tuple[Graph, dict[int, str]]:
+    """The doubled bipartite gadget and its provenance.
 
     Layout: originals 0..n-1; copies v' = v + n; then p = 2n, q = 2n+1,
     x = 2n+2, y = 2n+3.  Edges: u-v' and u'-v per input edge, u-u' per
     vertex, and w-x, w-y for every w among the originals and p, q.  The
     sides (V + {p,q}) and (V' + {x,y}) witness bipartiteness.
     """
-    if kind not in _BIPARTITE_KINDS:
-        raise DomainError(f"kind {kind!r} is not a bipartite reduction")
-    if r < 1:
-        raise DomainError("parameter must be at least 1")
-    if not graph.is_connected():
-        raise DomainError("bipartite reduction requires a connected input")
     n = graph.n
     p, q, x, y = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
     edges: list[tuple[int, int]] = []
@@ -111,59 +84,49 @@ def reduce_bipartite(graph: Graph, r: int, kind: str = "scdm_to_scdb") -> Reduct
     provenance = {u: f"v{u}" for u in range(n)}
     provenance.update({u + n: f"v{u}'" for u in range(n)})
     provenance.update({p: "p", q: "q", x: "x", y: "y"})
-    return ReductionArtifact(
-        kind=kind,
-        output_graph=Graph.from_edges(2 * n + 4, edges),
-        input_parameter=r,
-        output_parameter=r + 2,
-        provenance=provenance,
-    )
-
-
-def reduce_split(graph: Graph, k: int, kind: str = "dm_split_to_scdm_split") -> ReductionArtifact:
-    """Add a universal vertex x and a pendant y on x; parameter becomes k + 2.
-
-    The input must be split, which ``fast.recognize_split`` decides; a
-    non-split input raises ``DomainError`` with the recognizer's reason.  The
-    kind is checked first, then splitness, then the parameter.  The gadget
-    never reads the partition: for any split partition (C, I) of the input,
-    C + {x} and I + {y} split the output.
-    """
-    from .fast import SplitRejection, recognize_split
-
-    if kind not in _SPLIT_KINDS:
-        raise DomainError(f"kind {kind!r} is not a split reduction")
-    found = recognize_split(graph)
-    if isinstance(found, SplitRejection):
-        raise DomainError(f"input is not a split graph: {found.reason}")
-    if k < 1:
-        raise DomainError("parameter must be at least 1")
-    # x and y take the two highest ids, so appending them keeps every row
-    # sorted.
-    x, y = graph.n, graph.n + 1
-    adj = [row + (x,) for row in graph.adj]
-    adj += [(*range(x), y), (x,)]
-    provenance = {u: f"v{u}" for u in range(graph.n)}
-    provenance.update({x: "x", y: "y"})
-    return ReductionArtifact(
-        kind=kind,
-        output_graph=Graph(y + 1, tuple(adj), graph.m + x + 1),
-        input_parameter=k,
-        output_parameter=k + 2,
-        provenance=provenance,
-    )
+    return Graph.from_edges(2 * n + 4, edges), provenance
 
 
 def build(kind: str, graph: Graph, parameter: int) -> ReductionArtifact:
-    """Dispatch to the right builder for a reduction kind; the split kinds
-    find the input's partition themselves."""
-    if kind in _UNIVERSAL_KINDS:
-        return reduce_universal(graph, parameter, kind)
-    if kind in _BIPARTITE_KINDS:
-        return reduce_bipartite(graph, parameter, kind)
+    """Build the reduction of one kind; the parameter shifts by the kind's
+    offset in ``REDUCTION_KINDS``.
+
+    The checks run in this order: the kind; for the split kinds, that the
+    input is split (``fast.recognize_split`` decides, and its reason is the
+    error); the parameter; for the bipartite kinds, that the input is
+    connected.  The split gadget never reads the partition: for any split
+    partition (C, I) of the input, C + {x} and I + {y} split the output.
+    """
+    if kind not in REDUCTION_KINDS:
+        raise DomainError(f"unknown reduction kind {kind!r}")
     if kind in _SPLIT_KINDS:
-        return reduce_split(graph, parameter, kind)
-    raise DomainError(f"unknown reduction kind {kind!r}")
+        from .fast import SplitRejection, recognize_split
+
+        found = recognize_split(graph)
+        if isinstance(found, SplitRejection):
+            raise DomainError(f"input is not a split graph: {found.reason}")
+    if parameter < 1:
+        raise DomainError("parameter must be at least 1")
+    if kind in _BIPARTITE_KINDS:
+        if not graph.is_connected():
+            raise DomainError("bipartite reduction requires a connected input")
+        output_graph, provenance = _doubled_bipartite(graph)
+    else:
+        # x, then y for the split kinds, take the highest ids, so appending
+        # them keeps every row sorted.
+        x = graph.n
+        adj = [row + (x,) for row in graph.adj]
+        adj.append(tuple(range(x)))
+        provenance = {u: f"v{u}" for u in range(x)}
+        provenance[x] = "x"
+        m = graph.m + x
+        if kind in _SPLIT_KINDS:
+            adj[x] += (x + 1,)
+            adj.append((x,))
+            provenance[x + 1] = "y"
+            m += 1
+        output_graph = Graph(len(adj), tuple(adj), m)
+    return ReductionArtifact(kind, output_graph, parameter, parameter + REDUCTION_KINDS[kind][2], provenance)
 
 
 class SweepRow(NamedTuple):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from securedom import Graph, from_edge_list, random_split_graph, random_threshold_graph, to_edge_list
 from securedom.families import _SIZES, FAMILY_KINDS, FamilySpec, generate
-from securedom.reductions import reduce_split, reduce_universal
+from securedom.reductions import build
 
 
 def _old_from_edges(n: int, edges) -> Graph:
@@ -126,7 +126,7 @@ def test_universal_gadget_equals_the_edge_list_build():
     for graph in _seeded_graphs():
         x = graph.n
         old = _old_from_edges(x + 1, graph.edges() + [(u, x) for u in range(x)])
-        assert _same(reduce_universal(graph, 1).output_graph, old), graph
+        assert _same(build("dm_to_scdm", graph, 1).output_graph, old), graph
 
 
 def test_split_gadget_equals_the_edge_list_build():
@@ -140,13 +140,13 @@ def test_split_gadget_equals_the_edge_list_build():
         x, y = graph.n, graph.n + 1
         edges = graph.edges() + [(u, x) for u in range(x)] + [(x, y)]
         old = _old_from_edges(x + 2, edges)
-        assert _same(reduce_split(graph, 1).output_graph, old), graph
+        assert _same(build("dm_split_to_scdm_split", graph, 1).output_graph, old), graph
 
 
 def test_to_edge_list_is_byte_equal_to_the_bisect_version():
     graphs = list(_seeded_graphs())
     graphs += [generate(FamilySpec(kind, 12)) for kind in FAMILY_KINDS]
-    graphs.append(reduce_universal(_pad(Graph.from_edges(5, [(1, 3)]), 2), 1).output_graph)
+    graphs.append(build("dm_to_scdm", _pad(Graph.from_edges(5, [(1, 3)]), 2), 1).output_graph)
     for graph in graphs:
         assert to_edge_list(graph) == _old_to_edge_list(graph), graph
 

@@ -380,6 +380,19 @@ def test_split_reduce_reports_splitness_before_the_parameter(graph_file, capsys,
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("kind", ["scdm_to_scdb", "stdm_to_stdb"])
+@pytest.mark.parametrize(
+    ("param", "message"),
+    [
+        ("0", "error: parameter must be at least 1\n"),
+        ("1", "error: bipartite reduction requires a connected input\n"),
+    ],
+)
+def test_bipartite_reduce_reports_the_parameter_before_connectivity(graph_file, capsys, kind, param, message):
+    code, out, err = run(capsys, "reduce", "--kind", kind, "--param", param, "--in", graph_file("0 1\n2 3\n"))
+    assert (code, out, err) == (2, "", message)
+
+
 def test_check_equivalence_refuses_oversized_output(graph_file, capsys):
     # a 20-vertex path reduces to 21 vertices, one over the exact-solve guard
     big = "\n".join(f"{i} {i + 1}" for i in range(19))

@@ -14,9 +14,6 @@ from securedom import (
     random_graph,
     random_split_graph,
     recognize_split,
-    reduce_bipartite,
-    reduce_split,
-    reduce_universal,
     solve,
     to_edge_list,
 )
@@ -49,12 +46,12 @@ def test_artifact_invariants_survive_python_O():
 
 
 def test_universal_reduction_examples():
-    art = reduce_universal(path_graph(3), 1)
+    art = build("dm_to_scdm", path_graph(3), 1)
     assert (art.output_graph.n, art.output_graph.m) == (4, 5)
     assert art.output_parameter == 2
-    art = reduce_universal(Graph.from_edges(1, []), 1)
+    art = build("dm_to_scdm", Graph.from_edges(1, []), 1)
     assert (art.output_graph.n, art.output_graph.m, art.output_parameter) == (2, 1, 2)
-    art = reduce_universal(path_graph(4), 2)
+    art = build("dm_to_scdm", path_graph(4), 2)
     assert (art.output_graph.n, art.output_graph.m, art.output_parameter) == (5, 7, 3)
     assert solve(path_graph(4), "ds").value == 2
     assert solve(art.output_graph, "scds").value == 3
@@ -62,20 +59,20 @@ def test_universal_reduction_examples():
 
 def test_universal_reduction_output_is_connected_even_from_disconnected_input():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    art = reduce_universal(g, 1)
+    art = build("dm_to_scdm", g, 1)
     assert art.output_graph.is_connected()
     assert art.provenance[4] == "x"
 
 
 def test_bipartite_reduction_counts():
-    art = reduce_bipartite(fig_five_vertex_graph(), 1)
+    art = build("scdm_to_scdb", fig_five_vertex_graph(), 1)
     assert (art.output_graph.n, art.output_graph.m) == (14, 33)
-    art = reduce_bipartite(Graph.from_edges(2, [(0, 1)]), 1)
+    art = build("scdm_to_scdb", Graph.from_edges(2, [(0, 1)]), 1)
     assert (art.output_graph.n, art.output_graph.m, art.output_parameter) == (8, 12, 3)
 
 
 def test_bipartite_reduction_layout_and_provenance():
-    art = reduce_bipartite(path_graph(3), 2)
+    art = build("scdm_to_scdb", path_graph(3), 2)
     g = art.output_graph
     n = 3
     assert art.provenance == {
@@ -101,16 +98,16 @@ def test_bipartite_reduction_layout_and_provenance():
 def test_bipartite_reduction_outputs_stay_bipartite():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
-            assert is_bipartite(reduce_bipartite(g, 1).output_graph)
+            assert is_bipartite(build("scdm_to_scdb", g, 1).output_graph)
 
 
 def test_bipartite_reduction_requires_connected_input():
     with pytest.raises(DomainError, match="connected"):
-        reduce_bipartite(Graph.from_edges(4, [(0, 1), (2, 3)]), 1)
+        build("scdm_to_scdb", Graph.from_edges(4, [(0, 1), (2, 3)]), 1)
 
 
 def test_split_reduction_example():
-    art = reduce_split(complete_graph(3), 1)
+    art = build("dm_split_to_scdm_split", complete_graph(3), 1)
     assert (art.output_graph.n, art.output_graph.m, art.output_parameter) == (5, 7, 3)
     assert art.provenance[3] == "x" and art.provenance[4] == "y"
 
@@ -118,7 +115,7 @@ def test_split_reduction_example():
 def test_split_reduction_preserves_splitness_with_shifted_partition():
     for seed in range(20):
         g, part = random_split_graph(1 + seed % 6, seed)
-        art = reduce_split(g, 1)
+        art = build("dm_split_to_scdm_split", g, 1)
         out_part = SplitPartition(
             clique=part.clique | {g.n}, independent=part.independent | {g.n + 1}
         )
@@ -129,7 +126,7 @@ def test_split_reduction_preserves_splitness_with_shifted_partition():
 def test_split_reduction_forces_gadget_into_any_secure_set():
     # pendant y and its support x are mandatory in every secure connected set
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    art = reduce_split(g, 1)
+    art = build("dm_split_to_scdm_split", g, 1)
     x, y = g.n, g.n + 1
     witness = solve(art.output_graph, "scds").witness
     assert {x, y} <= witness
@@ -138,24 +135,25 @@ def test_split_reduction_forces_gadget_into_any_secure_set():
 def test_split_reduction_refuses_a_non_split_input_before_the_parameter():
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DomainError, match=r"^input is not a split graph: induced 2K2 on vertices \[0, 1, 2, 3\]$"):
-        reduce_split(two_k2, 0)
+        build("dm_split_to_scdm_split", two_k2, 0)
     with pytest.raises(DomainError, match="^parameter must be at least 1$"):
-        reduce_split(path_graph(4), 0)
+        build("dm_split_to_scdm_split", path_graph(4), 0)
 
 
 def test_parameter_offsets_are_fixed_constants():
+    # P3 is connected and split, so every kind accepts it
+    assert [offset for *_, offset in REDUCTION_KINDS.values()] == [1, 1, 2, 2, 2, 2]
     p3 = path_graph(3)
-    for k in (1, 2, 5):
-        assert reduce_universal(p3, k).output_parameter == k + 1
-        assert reduce_bipartite(p3, k).output_parameter == k + 2
     for kind in REDUCTION_KINDS:
+        for k in (1, 2, 5):
+            assert build(kind, p3, k).output_parameter == k + REDUCTION_KINDS[kind][2]
         with pytest.raises(DomainError, match="at least 1"):
             build(kind, complete_graph(3), 0)
 
 
 def test_artifacts_serialize_canonically():
-    a = to_edge_list(reduce_bipartite(path_graph(3), 1).output_graph)
-    b = to_edge_list(reduce_bipartite(path_graph(3), 4).output_graph)
+    a = to_edge_list(build("scdm_to_scdb", path_graph(3), 1).output_graph)
+    b = to_edge_list(build("scdm_to_scdb", path_graph(3), 4).output_graph)
     assert a == b
     assert a.startswith("p 10 ")
 
@@ -165,7 +163,7 @@ def test_forward_witnesses():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
             d = solve(g, "ds").witness
-            art = reduce_universal(g, max(1, len(d)))
+            art = build("dm_to_scdm", g, max(1, len(d)))
             assert is_scds_definition(art.output_graph, d | {g.n})[0]
     # a secure connected set of a non-complete source plus both hubs
     for seed in range(6):
@@ -173,13 +171,13 @@ def test_forward_witnesses():
         if g.is_complete():
             continue
         s = solve(g, "scds").witness
-        art = reduce_bipartite(g, max(1, len(s)))
+        art = build("scdm_to_scdb", g, max(1, len(s)))
         assert is_scds_definition(art.output_graph, s | {2 * g.n + 2, 2 * g.n + 3})[0]
     # a dominating set of a split source plus x and y
     for seed in range(10):
         g, _ = random_split_graph(1 + seed % 6, seed)
         d = solve(g, "ds").witness
-        art = reduce_split(g, max(1, len(d)))
+        art = build("dm_split_to_scdm_split", g, max(1, len(d)))
         assert is_scds_definition(art.output_graph, d | {g.n, g.n + 1})[0]
 
 
@@ -247,10 +245,6 @@ def test_secure_total_bipartite_twin_counterexample():
 
 def test_builders_reject_mismatched_kinds():
     with pytest.raises(DomainError):
-        reduce_universal(path_graph(3), 1, kind="scdm_to_scdb")
-    with pytest.raises(DomainError):
-        reduce_bipartite(path_graph(3), 1, kind="dm_to_scdm")
-    with pytest.raises(DomainError):
         build("dm_to_dm", path_graph(3), 1)
 
 
@@ -264,9 +258,9 @@ def test_build_recognizes_split_partition_when_absent():
 
 def test_provenance_covers_every_output_vertex():
     for art in (
-        reduce_universal(path_graph(4), 1),
-        reduce_bipartite(path_graph(4), 1),
-        reduce_split(random_split_graph(5, 1)[0], 1),
+        build("dm_to_scdm", path_graph(4), 1),
+        build("scdm_to_scdb", path_graph(4), 1),
+        build("dm_split_to_scdm_split", random_split_graph(5, 1)[0], 1),
     ):
         assert sorted(art.provenance) == list(range(art.output_graph.n))
 

@@ -36,6 +36,28 @@ def test_only_report_and_exact_build_solve_reports():
     assert builders == {"report.py", "exact.py"}
 
 
+def test_only_reductions_build_makes_artifacts():
+    # every gadget goes through reductions.build, which checks the kind, the
+    # input and the parameter in one order and shifts the parameter by the
+    # kind's offset
+    nodes = list(_nodes())
+    inside_build = {
+        id(inner)
+        for module, node in nodes
+        if module == "reductions.py" and isinstance(node, ast.FunctionDef) and node.name == "build"
+        for inner in ast.walk(node)
+    }
+    makers = [
+        f"{module}:{node.lineno}"
+        for module, node in nodes
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ReductionArtifact"
+        and id(node) not in inside_build
+    ]
+    assert inside_build
+    assert makers == []
+
+
 def test_every_private_helper_is_used_in_the_package():
     # a private top-level function or class that no package code names
     # outside its own definition is dead, even when a test still calls it
