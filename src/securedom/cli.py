@@ -6,7 +6,7 @@ memory), 3 crosscheck mismatches, 4 internal errors (an answer that failed
 its own re-verification or a broken solver invariant, reported as
 "internal error: ..." on stderr).  JSON output is sorted-key and
 deterministic for a fixed config and seed, apart from the elapsed_ms
-field.
+field, which ``main`` sets to the handler's wall time.
 
 A command runs with the cyclic garbage collector paused (its data is
 acyclic, so reference counting frees it) and prints library warnings as
@@ -49,10 +49,12 @@ from .names import (
 def _read_graph(path: str) -> Graph:
     try:
         if path == "-":
-            return from_edge_list(sys.stdin)
+            text = sys.stdin.read()
+            text.encode("ascii")  # the codec a file is read with
+            return from_edge_list(text)
         with open(path, "r", encoding="ascii") as handle:
             return from_edge_list(handle)
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise ParseError(f"input is not ASCII edge-list text: {exc}") from None
 
 
@@ -102,7 +104,6 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "value": report.value,
         "witness": format_vertex_set(report.witness),
         "method": report.method,
-        "elapsed_ms": round(report.elapsed * 1000, 3),
     }
     text = [
         f"value {report.value}",
@@ -116,7 +117,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .verify import failure_reason
 
     graph = _load_graph(args)
-    start = time.perf_counter()
     members = parse_vertex_set(args.set, graph)
     reason = failure_reason(graph, args.variant, members)
     verdict = reason is None
@@ -127,7 +127,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "set": format_vertex_set(members),
         "verdict": verdict,
         "method": "definition",
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = [f"verdict {str(verdict).lower()}"]
     if reason:
@@ -140,13 +139,11 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .fast import recognize_classes
 
     graph = _load_graph(args)
-    start = time.perf_counter()
     classes, split = recognize_classes(graph)
     payload = {
         "command": "recognize",
         "graph": _graph_field(graph),
         "classes": classes,
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = [f"{name} {str(flag).lower()}" for name, flag in sorted(classes.items())]
     if split is not None and split.obstruction:
@@ -164,7 +161,6 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .families import FamilySpec, formula_value, formula_witness, generate
 
-    start = time.perf_counter()
     spec = FamilySpec(args.kind, args.n)
     graph = generate(spec)
     edge_list = to_edge_list(graph)
@@ -174,7 +170,6 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "n": args.n,
         "graph": _graph_field(graph),
         "edge_list": edge_list,
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     if args.emit_witness:
         witness = formula_witness(spec)
@@ -193,7 +188,6 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .reductions import build
 
     graph = _load_graph(args)
-    start = time.perf_counter()
     artifact = build(args.kind, graph, args.param)
     edge_list = to_edge_list(artifact.output_graph)
     # The JSON keys are sorted on output, so the provenance needs no sort here.
@@ -204,7 +198,6 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "parameter": artifact.output_parameter,
         "edge_list": edge_list,
         "provenance": {str(v): role for v, role in artifact.provenance.items()},
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = []
     if args.format == "text":
@@ -217,7 +210,6 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
     from .reductions import check_equivalence
 
     graph = _load_graph(args)
-    start = time.perf_counter()
     report = check_equivalence(args.kind, graph, max_output_n=args.max_output_n)
     payload = {
         "command": "check-equivalence",
@@ -238,7 +230,6 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
             for row in report.rows
         ],
         "verdict": "all-match" if report.all_match else f"counterexample t={report.first_mismatch}",
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = [
         f"source {report.source_variant} = {report.source_value}",
@@ -257,7 +248,6 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
 def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .crosscheck import GRID_RUNNERS
 
-    start = time.perf_counter()
     if args.count < 0:
         raise DomainError(f"--count must be nonnegative, got {args.count}")
     grids = list(GRID_RUNNERS) if args.grid == "all" else [args.grid]
@@ -286,7 +276,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             for g, r in results
             if not r.passed
         ],
-        "elapsed_ms": round((time.perf_counter() - start) * 1000, 3),
     }
     text = []
     for grid, result in results:
@@ -371,7 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     warnings.showwarning = _show_warning
     gc.disable()
     try:
+        start = time.perf_counter()
         payload, text, code = args.handler(args)
+        payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

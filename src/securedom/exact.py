@@ -29,7 +29,6 @@ validated against it at desk scale.
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
@@ -70,9 +69,8 @@ def solve(
     if variant in ("tds", "stds") and any(len(a) == 0 for a in graph.adj):
         raise DomainError(f"variant {variant} requires a graph without isolated vertices")
 
-    start = time.perf_counter()
     if variant == "scds" and graph.is_complete():
-        return trivial_complete(start)
+        return trivial_complete()
 
     forced: frozenset[int] = frozenset()
     if variant == "scds" and graph.n >= 3:
@@ -82,14 +80,7 @@ def solve(
     witness, nodes = _bitset_search(graph, variant, forced)
     if witness is None:
         raise RuntimeError(f"no {variant} certificate up to size n; preconditions violated?")
-    return SolveReport(
-        variant=variant,
-        value=len(witness),
-        witness=witness,
-        method=METHOD_EXACT,
-        elapsed=time.perf_counter() - start,
-        nodes_explored=nodes,
-    )
+    return SolveReport(value=len(witness), witness=witness, method=METHOD_EXACT, nodes_explored=nodes)
 
 
 def _bitset_search(graph: Graph, variant: str, forced: frozenset[int]) -> tuple[frozenset[int] | None, int]:

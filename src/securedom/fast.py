@@ -19,7 +19,6 @@ checks that the witness size equals the formula's value.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from collections import deque
 from itertools import combinations
@@ -69,7 +68,6 @@ class ThresholdOrdering(NamedTuple):
 
 class ThresholdRejection(NamedTuple):
     reason: str
-    remaining: int = 0
 
 
 def _walk_whole(graph: Graph, blocks: list[int] | None = None) -> tuple[list[int], int]:
@@ -140,7 +138,6 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
     plus, per block that has one, its smallest non-cut vertex; the same pass
     counts r'.
     """
-    start = time.perf_counter()
     decomp = block_decompose(graph)
     if not decomp.cliques:
         raise DomainError("not a block graph: some block is not a clique")
@@ -154,7 +151,7 @@ def gamma_sc_block(graph: Graph) -> SolveReport:
         else:
             r_prime += 1
     value = len(cut) + len(decomp.blocks) - r_prime
-    return formula_report(METHOD_BLOCK, value, frozenset(witness), start)
+    return formula_report(METHOD_BLOCK, value, frozenset(witness))
 
 
 # -- split graphs ----------------------------------------------------------
@@ -265,7 +262,7 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
     degrees = list(map(len, graph.adj))
     # The peel's first step needs a vertex of degree 0 or n - 1.
     if min(degrees) and max(degrees) < n - 1:
-        return ThresholdRejection(reason="no isolated or universal vertex remains", remaining=n)
+        return ThresholdRejection(reason="no isolated or universal vertex remains")
     # The sort is stable over ascending ids, so equal degrees keep id order.
     order = sorted(range(n), key=degrees.__getitem__)
     # order[:lo] are peeled as isolated and order[hi + 1:] as universal, so a
@@ -277,9 +274,7 @@ def recognize_threshold(graph: Graph) -> ThresholdOrdering | ThresholdRejection:
         elif degrees[order[hi]] == n - 1 - lo:
             hi -= 1
         else:
-            return ThresholdRejection(
-                reason="no isolated or universal vertex remains", remaining=hi - lo + 1
-            )
+            return ThresholdRejection(reason="no isolated or universal vertex remains")
     ordering = ThresholdOrdering(
         clique_order=tuple(order[lo:]), independent_order=tuple(reversed(order[:lo]))
     )
@@ -350,31 +345,28 @@ def gamma_sc_threshold(graph: Graph) -> SolveReport:
     vertex that stars do not have), so they take the tree value instead:
     every vertex.
     """
-    start = time.perf_counter()
     ordering = recognize_threshold(graph)
     if isinstance(ordering, ThresholdRejection):
         raise DomainError(f"not a threshold graph: {ordering.reason}")
-    return _threshold_formula(graph, ordering, _threshold_shape(graph, ordering), start)
+    return _threshold_formula(graph, ordering, _threshold_shape(graph, ordering))
 
 
-def _threshold_formula(
-    graph: Graph, ordering: ThresholdOrdering, shape: tuple[bool, bool, int], start: float
-) -> SolveReport:
+def _threshold_formula(graph: Graph, ordering: ThresholdOrdering, shape: tuple[bool, bool, int]) -> SolveReport:
     """``gamma_sc_threshold`` on a graph whose certificate is ``ordering``
     and whose ``_threshold_shape`` is ``shape``."""
     connected, _, pendants = shape
     if not connected:
         raise DomainError("threshold solver requires a connected graph")
     if graph.is_complete():
-        return trivial_complete(start)
+        return trivial_complete()
     xs = ordering.clique_order
     if len(xs) == 1:
         # the one clique vertex is universal and the rest independent: a star
-        return formula_report(METHOD_THRESHOLD, graph.n, frozenset(range(graph.n)), start)
+        return formula_report(METHOD_THRESHOLD, graph.n, frozenset(range(graph.n)))
     adj = graph.adj
     window = [y for y in adj[xs[-1]] if len(adj[y]) == 1]
     witness = frozenset(xs[-2:]).union(window)
-    return formula_report(METHOD_THRESHOLD, 2 + pendants, witness, start)
+    return formula_report(METHOD_THRESHOLD, 2 + pendants, witness)
 
 
 def gamma_sc_formula(graph: Graph) -> SolveReport:
@@ -382,12 +374,11 @@ def gamma_sc_formula(graph: Graph) -> SolveReport:
     formula for a non-threshold graph or a non-complete threshold block
     graph, else the threshold formula with that certificate.  Raises the
     chosen formula's DomainError when it does not apply."""
-    start = time.perf_counter()
     ordering = recognize_threshold(graph)
     if isinstance(ordering, ThresholdOrdering):
         shape = _threshold_shape(graph, ordering)
         if graph.is_complete() or not shape[1]:
-            return _threshold_formula(graph, ordering, shape, start)
+            return _threshold_formula(graph, ordering, shape)
     return gamma_sc_block(graph)
 
 

@@ -349,6 +349,8 @@ def parse_vertex_set(text: str, graph: Graph) -> frozenset[int]:
     for token in text.split(","):
         token = token.strip()
         try:
+            if not token.isascii():  # int() also reads other scripts' digits
+                raise ValueError
             v = int(token)
         except ValueError:
             raise ParseError(f"bad vertex id {token!r} in set") from None

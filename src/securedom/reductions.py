@@ -147,8 +147,6 @@ class EquivalenceReport(NamedTuple):
     violated t, if any, is recorded as the counterexample.
     """
 
-    kind: str
-    artifact: ReductionArtifact
     source_variant: str
     target_variant: str
     source_value: int
@@ -196,8 +194,6 @@ def check_equivalence(kind: str, graph: Graph, *, max_output_n: int = 20) -> Equ
         for t in range(1, graph.n + 1)
     )
     return EquivalenceReport(
-        kind=kind,
-        artifact=artifact,
         source_variant=source_variant,
         target_variant=target_variant,
         source_value=source_value,

@@ -10,7 +10,6 @@ search, and ``gamma`` loads a solver only when a request reaches it.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from .names import DEFAULT_MAX_N, METHODS
@@ -30,34 +29,30 @@ class SolveReport(NamedTuple):
     nodes_explored counts the full-size candidates the exact search
     reached: those its one bitset walk arrives at after its branch cuts,
     whether or not they pass the cover filters, and 0 for the formulas and
-    the complete-graph shortcut.  The count is deterministic.  elapsed is
-    wall time in seconds.
+    the complete-graph shortcut.  The count is deterministic.
     """
 
-    variant: str
     value: int
     witness: frozenset[int]
     method: str
-    elapsed: float
     nodes_explored: int
 
 
-def formula_report(method: str, value: int, witness: frozenset[int], start: float) -> SolveReport:
+def formula_report(method: str, value: int, witness: frozenset[int]) -> SolveReport:
     """The scds report of a closed-form answer, after checking that the
     witness has ``value`` vertices.
 
-    ``start`` is the caller's perf_counter reading, so elapsed covers the
-    caller's own work.  A size mismatch is a broken formula, not a bad
-    input, so it raises RuntimeError.
+    A size mismatch is a broken formula, not a bad input, so it raises
+    RuntimeError.
     """
     if len(witness) != value:
         raise RuntimeError(f"{method} witness size disagrees with the formula")
-    return SolveReport("scds", value, witness, method, time.perf_counter() - start, 0)
+    return SolveReport(value, witness, method, 0)
 
 
-def trivial_complete(start: float) -> SolveReport:
+def trivial_complete() -> SolveReport:
     """The secure connected answer on a complete graph: any single vertex."""
-    return formula_report(METHOD_TRIVIAL, 1, frozenset({0}), start)
+    return formula_report(METHOD_TRIVIAL, 1, frozenset({0}))
 
 
 def gamma(

@@ -485,12 +485,67 @@ def test_gamma_without_input_is_a_domain_error(capsys):
     assert "no input graph" in err
 
 
-def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
-    path = tmp_path / "bin.el"
-    path.write_bytes(b"0 1\n\xff\xfe\n")
-    code, _, err = run(capsys, "gamma", "--in", str(path))
-    assert code == 1
-    assert "not ASCII" in err
+# Arabic-Indic three and four: int() reads them as 3 and 4.
+ARABIC_INDIC_EDGES = "\u0663 \u0664\n0 3\n"
+
+
+def test_non_ascii_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "bin.el").write_bytes(b"0 1\n\xff\xfe\n")
+    (tmp_path / "digits.el").write_text(ARABIC_INDIC_EDGES, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(ARABIC_INDIC_EDGES))
+    for source in (tmp_path / "bin.el", tmp_path / "digits.el", "-"):
+        code, out, err = run(capsys, "recognize", "--in", str(source))
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: input is not ASCII edge-list text: ")
+
+
+def test_non_ascii_stdin_bytes_are_refused_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "securedom", "recognize", "--in", "-"],
+        input=ARABIC_INDIC_EDGES.encode("utf-8"),
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"parse error: input is not ASCII edge-list text: ")
+
+
+def test_verify_refuses_non_ascii_digits_in_the_set(graph_file, capsys):
+    path = graph_file("0 1\n1 2\n")
+    code, out, err = run(capsys, "verify", "--in", path, "--set=\u0662")
+    assert (code, out) == (1, "")
+    assert err == "parse error: bad vertex id '\u0662' in set\n"
+    # a negative ASCII id is still a domain error
+    code, _, err = run(capsys, "verify", "--in", path, "--set=-2,3")
+    assert code == 2
+    assert err == "error: vertex -2 outside range 0..2\n"
+
+
+ONE_OF_EACH_COMMAND = [
+    ["gamma"],
+    ["verify", "--set", "0,2,3"],
+    ["recognize"],
+    ["family", "--kind", "ladder", "--n", "3"],
+    ["reduce", "--kind", "dm_to_scdm", "--param", "1"],
+    ["check-equivalence", "--kind", "dm_to_scdm"],
+    ["crosscheck", "--grid", "families"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_OF_EACH_COMMAND, ids=lambda argv: argv[0])
+def test_every_command_reports_one_elapsed_time_in_json_only(graph_file, capsys, argv):
+    if argv[0] not in ("family", "crosscheck"):
+        argv = [*argv, "--in", graph_file(BOWTIE)]
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert out.count('"elapsed_ms"') == 1
+    elapsed = json.loads(out)["elapsed_ms"]
+    assert type(elapsed) is float and elapsed >= 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "elapsed" not in out
 
 
 def test_failed_reverification_is_an_internal_error(graph_file, capsys, monkeypatch):

@@ -552,7 +552,7 @@ def _stepwise_auto(graph):
     then the threshold formula, then the exact search, each formula passing
     on DomainError."""
     if graph.n >= 1 and graph.is_complete():
-        return trivial_complete(0.0)
+        return trivial_complete()
     if graph.n >= 1 and graph.m >= graph.n - 1:
         for formula in (gamma_sc_block, gamma_sc_threshold):
             try:

@@ -213,7 +213,7 @@ def test_bipartite_equivalence_counterexample_on_complete_sources():
         assert report.first_mismatch == 1
         assert report.source_value == 1
         assert report.target_value == 4
-        assert plain_solve(report.artifact.output_graph, "scds")[0] == 4
+        assert plain_solve(build("scdm_to_scdb", g, 1).output_graph, "scds")[0] == 4
 
 
 def test_bipartite_equivalence_counterexample_on_hard_to_defend_source():
@@ -226,9 +226,10 @@ def test_bipartite_equivalence_counterexample_on_hard_to_defend_source():
     assert not report.all_match
     assert report.first_mismatch == 4
     assert report.target_value == 6
-    assert plain_solve(report.artifact.output_graph, "scds")[0] == 6
+    output = build("scdm_to_scdb", g, 1).output_graph
+    assert plain_solve(output, "scds")[0] == 6
     hubs = {2 * g.n + 2, 2 * g.n + 3}
-    assert is_scds(report.artifact.output_graph, frozenset({1, 2, 3, 4}) | hubs)
+    assert is_scds(output, frozenset({1, 2, 3, 4}) | hubs)
 
 
 def test_secure_total_bipartite_twin_counterexample():
@@ -240,7 +241,7 @@ def test_secure_total_bipartite_twin_counterexample():
     assert report.first_mismatch == 1
     assert report.source_value == 1
     assert report.target_value == 4
-    assert plain_solve(report.artifact.output_graph, "stds")[0] == 4
+    assert plain_solve(build("stdm_to_stdb", k2, 1).output_graph, "stds")[0] == 4
 
 
 def test_builders_reject_mismatched_kinds():

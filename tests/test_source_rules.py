@@ -9,6 +9,10 @@ import pytest
 from conftest import SRC
 from securedom.report import METHOD_BLOCK, formula_report
 
+# Wrapped or read by name in perfbench/tracer.py (ROADMAP items 7 and 8), so
+# the rules below keep them while the tracer does.
+TRACER_BOUND = frozenset({"Graph.components", "SolveReport.nodes_explored"})
+
 
 def _nodes():
     """(module file name, node) for every AST node of the package."""
@@ -83,8 +87,7 @@ def test_every_private_helper_is_used_in_the_package():
 def test_every_public_method_of_a_class_is_read_in_the_package():
     # a public method or property of a package class that no package code
     # reads as an attribute outside its own definition is dead, even when a
-    # test still calls it.  Graph.components is exempt while
-    # perfbench/tracer.py wraps it by name (ROADMAP item 7).
+    # test still calls it
     nodes = list(_nodes())
     own = {
         f"{node.name}.{stmt.name}": (stmt.name, {id(n) for n in ast.walk(stmt)})
@@ -101,9 +104,30 @@ def test_every_public_method_of_a_class_is_read_in_the_package():
     dead = [
         method
         for method, (name, body) in own.items()
-        if method != "Graph.components" and all(r in body for r in reads.get(name, []))
+        if method not in TRACER_BOUND and all(r in body for r in reads.get(name, []))
     ]
     assert dead == []
+
+
+def test_every_record_field_is_read_in_the_package():
+    # an annotated field of a package NamedTuple that no package code reads
+    # as an attribute is dead, even when a test still reads it.  Besides the
+    # tracer-bound fields, ComponentLabeling.labels is returned only by the
+    # tracer-bound Graph.components, and the input_parameter of
+    # ReductionArtifact (whose fields _Artifact declares) is read by the
+    # record's own validation in __new__.
+    exempt = TRACER_BOUND | {"ComponentLabeling.labels", "_Artifact.input_parameter"}
+    nodes = [node for _, node in _nodes()]
+    fields = {
+        f"{node.name}.{stmt.target.id}": stmt.target.id
+        for node in nodes
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+    }
+    assert "SolveReport.witness" in fields
+    reads = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [field for field, name in fields.items() if field not in exempt and name not in reads] == []
 
 
 def test_every_imported_name_is_read_in_its_module():
@@ -122,6 +146,6 @@ def test_every_imported_name_is_read_in_its_module():
 
 
 def test_formula_report_refuses_a_witness_of_the_wrong_size():
-    assert formula_report(METHOD_BLOCK, 2, frozenset({0, 3}), 0.0)[:4] == ("scds", 2, frozenset({0, 3}), METHOD_BLOCK)
+    assert formula_report(METHOD_BLOCK, 2, frozenset({0, 3}))[:3] == (2, frozenset({0, 3}), METHOD_BLOCK)
     with pytest.raises(RuntimeError, match="^block_formula witness size disagrees with the formula$"):
-        formula_report(METHOD_BLOCK, 3, frozenset({0, 3}), 0.0)
+        formula_report(METHOD_BLOCK, 3, frozenset({0, 3}))

@@ -175,15 +175,14 @@ def test_solve_path_records_keep_their_repr_hash_and_immutability():
     g = graph.Graph.from_edges(3, [(1, 2), (0, 1)])
     assert repr(g) == "Graph(n=3, adj=((1,), (0, 2), (1,)), m=2)"
     assert hash(g) == hash((3, ((1,), (0, 2), (1,)), 2))
-    solved = report.SolveReport("scds", 1, frozenset({0}), "trivial_complete", 0.5, 0)
+    solved = report.SolveReport(1, frozenset({0}), "trivial_complete", 0)
     assert repr(solved) == (
-        "SolveReport(variant='scds', value=1, witness=frozenset({0}), "
-        "method='trivial_complete', elapsed=0.5, nodes_explored=0)"
+        "SolveReport(value=1, witness=frozenset({0}), method='trivial_complete', nodes_explored=0)"
     )
 
     rejection = fast.SplitRejection("no split partition")
     assert (rejection.obstruction, rejection.obstruction_kind) == (None, None)
-    assert fast.ThresholdRejection("no isolated or universal vertex remains").remaining == 0
+    assert fast.ThresholdRejection._fields == ("reason",)
     assert fast.ThresholdOrdering._fields == ("clique_order", "independent_order")
     blocks = records[fast.BlockDecomposition]
     assert block_counts(blocks) == (3, 2, 1)
