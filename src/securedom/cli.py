@@ -42,6 +42,7 @@ from .names import (
     GRID_NAMES,
     METHODS,
     REDUCTION_KIND_NAMES,
+    REDUCTION_KINDS,
     VARIANTS,
 )
 
@@ -211,15 +212,16 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
 
     graph = _load_graph(args)
     report = check_equivalence(args.kind, graph, max_output_n=args.max_output_n)
+    source_variant, target_variant, offset = REDUCTION_KINDS[args.kind]
     payload = {
         "command": "check-equivalence",
         "kind": args.kind,
         "graph": _graph_field(graph),
-        "source_variant": report.source_variant,
-        "target_variant": report.target_variant,
+        "source_variant": source_variant,
+        "target_variant": target_variant,
         "source_value": report.source_value,
         "target_value": report.target_value,
-        "offset": report.offset,
+        "offset": offset,
         "rows": [
             {
                 "t": row.t,
@@ -232,8 +234,8 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
         "verdict": "all-match" if report.all_match else f"counterexample t={report.first_mismatch}",
     }
     text = [
-        f"source {report.source_variant} = {report.source_value}",
-        f"target {report.target_variant} = {report.target_value} (offset {report.offset})",
+        f"source {source_variant} = {report.source_value}",
+        f"target {target_variant} = {report.target_value} (offset {offset})",
     ]
     for row in report.rows:
         mark = "ok" if row.match else "MISMATCH"
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-equivalence", help="sweep a reduction's threshold equivalence")
     _add_input_flags(p)
     p.add_argument("--kind", choices=REDUCTION_KIND_NAMES, required=True)
-    p.add_argument("--max-output-n", dest="max_output_n", type=int, default=20)
+    p.add_argument("--max-output-n", dest="max_output_n", type=int, default=DEFAULT_MAX_N)
     p.set_defaults(handler=_cmd_check_equivalence)
 
     p = sub.add_parser("crosscheck", help="run validation grids against the exact oracle")

@@ -140,7 +140,8 @@ class Graph(NamedTuple):
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
-            raise DomainError(f"vertex {v} outside range 0..{self.n - 1}")
+            span = f" 0..{self.n - 1}" if self.n else ": the graph has no vertices"
+            raise DomainError(f"vertex {v} outside range{span}")
 
 
 def flagged_reach(adj: tuple[tuple[int, ...], ...], flags: bytearray, root: int) -> int:
@@ -354,8 +355,7 @@ def parse_vertex_set(text: str, graph: Graph) -> frozenset[int]:
             v = int(token)
         except ValueError:
             raise ParseError(f"bad vertex id {token!r} in set") from None
-        if not (0 <= v < graph.n):
-            raise DomainError(f"vertex {v} outside range 0..{graph.n - 1}")
+        graph._check_vertex(v)
         out.add(v)
     return frozenset(out)
 

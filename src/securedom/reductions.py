@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import DomainError, Graph
-from .names import REDUCTION_KINDS
+from .names import DEFAULT_MAX_N, REDUCTION_KINDS
 
 # The split recognizer loads with the split kinds and the exact search with
 # check_equivalence, so the universal and bipartite kinds build without them.
@@ -33,34 +33,13 @@ _BIPARTITE_KINDS = ("scdm_to_scdb", "stdm_to_stdb")
 _SPLIT_KINDS = ("dm_split_to_scdm_split", "dm_split_to_stdm_split")
 
 
-class _Artifact(NamedTuple):
-    kind: str
-    output_graph: Graph
-    input_parameter: int
-    output_parameter: int
-    provenance: dict[int, str]
-
-
-class ReductionArtifact(_Artifact):
+class ReductionArtifact(NamedTuple):
     """A transformed instance: output graph, shifted parameter, and a map
     from every output vertex to its role in the construction."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: str,
-        output_graph: Graph,
-        input_parameter: int,
-        output_parameter: int,
-        provenance: dict[int, str],
-    ) -> ReductionArtifact:
-        offset = REDUCTION_KINDS[kind][2]
-        if output_parameter != input_parameter + offset:
-            raise ValueError(f"{kind} shifts the parameter by {offset}")
-        if sorted(provenance) != list(range(output_graph.n)):
-            raise ValueError("provenance must name every output vertex exactly once")
-        return super().__new__(cls, kind, output_graph, input_parameter, output_parameter, provenance)
+    output_graph: Graph
+    output_parameter: int
+    provenance: dict[int, str]
 
 
 def _doubled_bipartite(graph: Graph) -> tuple[Graph, dict[int, str]]:
@@ -126,7 +105,7 @@ def build(kind: str, graph: Graph, parameter: int) -> ReductionArtifact:
             provenance[x + 1] = "y"
             m += 1
         output_graph = Graph(len(adj), tuple(adj), m)
-    return ReductionArtifact(kind, output_graph, parameter, parameter + REDUCTION_KINDS[kind][2], provenance)
+    return ReductionArtifact(output_graph, parameter + REDUCTION_KINDS[kind][2], provenance)
 
 
 class SweepRow(NamedTuple):
@@ -143,15 +122,13 @@ class EquivalenceReport(NamedTuple):
     """Exact optima on both sides plus the full threshold sweep.
 
     For every t in 1..n the instance equivalence demands
-    (source optimum <= t) == (target optimum <= t + offset); the first
-    violated t, if any, is recorded as the counterexample.
+    (source optimum <= t) == (target optimum <= t + offset), with the
+    variants and the offset of the kind's ``REDUCTION_KINDS`` row; the
+    first violated t, if any, is recorded as the counterexample.
     """
 
-    source_variant: str
-    target_variant: str
     source_value: int
     target_value: int
-    offset: int
     rows: tuple[SweepRow, ...]
 
     @property
@@ -166,7 +143,7 @@ class EquivalenceReport(NamedTuple):
         return None
 
 
-def check_equivalence(kind: str, graph: Graph, *, max_output_n: int = 20) -> EquivalenceReport:
+def check_equivalence(kind: str, graph: Graph, *, max_output_n: int = DEFAULT_MAX_N) -> EquivalenceReport:
     """Solve both sides exactly and sweep all parameter thresholds.
 
     The artifact comes from ``build``, so a split kind refuses a non-split
@@ -193,11 +170,4 @@ def check_equivalence(kind: str, graph: Graph, *, max_output_n: int = 20) -> Equ
         )
         for t in range(1, graph.n + 1)
     )
-    return EquivalenceReport(
-        source_variant=source_variant,
-        target_variant=target_variant,
-        source_value=source_value,
-        target_value=target_value,
-        offset=offset,
-        rows=rows,
-    )
+    return EquivalenceReport(source_value, target_value, rows)

@@ -523,6 +523,18 @@ def test_verify_refuses_non_ascii_digits_in_the_set(graph_file, capsys):
     assert err == "error: vertex -2 outside range 0..2\n"
 
 
+def test_verify_names_the_empty_range_of_an_empty_graph(graph_file, capsys):
+    path = graph_file("p 0 0\n")
+    code, out, err = run(capsys, "verify", "--in", path, "--set=0")
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 0 outside range: the graph has no vertices\n"
+    # the tokens are read left to right, so a bad id before it still exits 1
+    code, _, err = run(capsys, "verify", "--in", path, "--set=a,0")
+    assert (code, err) == (1, "parse error: bad vertex id 'a' in set\n")
+    code, _, err = run(capsys, "verify", "--in", path, "--set=0,a")
+    assert code == 2
+
+
 ONE_OF_EACH_COMMAND = [
     ["gamma"],
     ["verify", "--set", "0,2,3"],

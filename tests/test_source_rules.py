@@ -113,10 +113,8 @@ def test_every_record_field_is_read_in_the_package():
     # an annotated field of a package NamedTuple that no package code reads
     # as an attribute is dead, even when a test still reads it.  Besides the
     # tracer-bound fields, ComponentLabeling.labels is returned only by the
-    # tracer-bound Graph.components, and the input_parameter of
-    # ReductionArtifact (whose fields _Artifact declares) is read by the
-    # record's own validation in __new__.
-    exempt = TRACER_BOUND | {"ComponentLabeling.labels", "_Artifact.input_parameter"}
+    # tracer-bound Graph.components.
+    exempt = TRACER_BOUND | {"ComponentLabeling.labels"}
     nodes = [node for _, node in _nodes()]
     fields = {
         f"{node.name}.{stmt.target.id}": stmt.target.id
@@ -128,6 +126,43 @@ def test_every_record_field_is_read_in_the_package():
     assert "SolveReport.witness" in fields
     reads = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert [field for field, name in fields.items() if field not in exempt and name not in reads] == []
+
+
+def test_every_raise_is_one_the_cli_maps():
+    # cli.main turns these classes into exit codes 1, 2 and 4, so any other
+    # exception would reach the user as a traceback.  Exempt: the
+    # AttributeError of the package's module __getattr__ (PEP 562), and a
+    # raise inside a try whose handler catches its class.
+    mapped = {"DomainError", "ParseError", "RuntimeError"}
+    stray = []
+
+    def caught(handler: ast.ExceptHandler) -> set[str]:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+
+    def visit(module: str, node: ast.AST, function: str, catching: frozenset[str]) -> None:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            pep562 = (module, function, name) == ("__init__.py", "__getattr__", "AttributeError")
+            if name not in mapped | catching and not pep562:
+                stray.append(f"{module}:{node.lineno}:{name}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Try):
+            inner = catching.union(*map(caught, node.handlers))
+            for stmt in node.body:
+                visit(module, stmt, function, inner)
+            rest = [*node.handlers, *node.orelse, *node.finalbody]
+        else:
+            rest = ast.iter_child_nodes(node)
+        for child in rest:
+            visit(module, child, function, catching)
+
+    for module, node in _nodes():
+        if isinstance(node, ast.Module):
+            visit(module, node, "", frozenset())
+    assert stray == []
 
 
 def test_every_imported_name_is_read_in_its_module():

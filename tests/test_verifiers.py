@@ -26,6 +26,7 @@ from securedom import (
     is_total_dominating,
 )
 from securedom.families import FamilySpec, generate
+from securedom.graph import parse_vertex_set
 from securedom.crosscheck import random_graph
 from securedom.verify import VARIANTS, _swap_check, check_variant, failure_reason
 
@@ -272,6 +273,17 @@ def test_members_outside_the_range_raise_the_graphs_range_error(g):
             ):
                 with pytest.raises(DomainError, match=outside):
                     check()
+
+
+def test_the_empty_graph_names_its_empty_range():
+    empty = Graph.from_edges(0, [])
+    text = "^vertex 0 outside range: the graph has no vertices$"
+    with pytest.raises(DomainError, match=text):
+        failure_reason(empty, "ds", [0])
+    with pytest.raises(DomainError, match=text):
+        parse_vertex_set("0", empty)
+    with pytest.raises(DomainError, match=r"^vertex 3 outside range 0\.\.2$"):
+        parse_vertex_set("1,3", path_graph(3))
 
 
 def test_checkers_are_total_on_disconnected_graphs():
