@@ -6,7 +6,8 @@ memory), 3 crosscheck mismatches, 4 internal errors (an answer that failed
 its own re-verification or a broken solver invariant, reported as
 "internal error: ..." on stderr).  JSON output is sorted-key and
 deterministic for a fixed config and seed, apart from the elapsed_ms
-field, which ``main`` sets to the handler's wall time.
+field, which ``main`` sets to the handler's wall time; ``main`` also sets
+the command field to the subcommand's name.
 
 A command runs with the cyclic garbage collector paused (its data is
 acyclic, so reference counting frees it) and prints library warnings as
@@ -99,7 +100,6 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = gamma(graph, args.variant, args.method, max_n=args.max_n)
     _require_verified(graph, args.variant, report.witness, report.method)
     payload = {
-        "command": "gamma",
         "variant": args.variant,
         "graph": _graph_field(graph),
         "value": report.value,
@@ -122,7 +122,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     reason = failure_reason(graph, args.variant, members)
     verdict = reason is None
     payload = {
-        "command": "verify",
         "variant": args.variant,
         "graph": _graph_field(graph),
         "set": format_vertex_set(members),
@@ -142,7 +141,6 @@ def _cmd_recognize(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     graph = _load_graph(args)
     classes, split = recognize_classes(graph)
     payload = {
-        "command": "recognize",
         "graph": _graph_field(graph),
         "classes": classes,
     }
@@ -166,7 +164,6 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     graph = generate(spec)
     edge_list = to_edge_list(graph)
     payload = {
-        "command": "family",
         "kind": args.kind,
         "n": args.n,
         "graph": _graph_field(graph),
@@ -193,7 +190,6 @@ def _cmd_reduce(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     edge_list = to_edge_list(artifact.output_graph)
     # The JSON keys are sorted on output, so the provenance needs no sort here.
     payload = {
-        "command": "reduce",
         "kind": args.kind,
         "graph": _graph_field(artifact.output_graph),
         "parameter": artifact.output_parameter,
@@ -214,7 +210,6 @@ def _cmd_check_equivalence(args: argparse.Namespace) -> tuple[dict, list[str], i
     report = check_equivalence(args.kind, graph, max_output_n=args.max_output_n)
     source_variant, target_variant, offset = REDUCTION_KINDS[args.kind]
     payload = {
-        "command": "check-equivalence",
         "kind": args.kind,
         "graph": _graph_field(graph),
         "source_variant": source_variant,
@@ -268,7 +263,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         results.extend((grid, r) for r in report)
     passed = sum(1 for _, r in results if r.passed)
     payload = {
-        "command": "crosscheck",
         "grids": grids,
         "seed": args.seed,
         "total": len(results),
@@ -365,6 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         payload, text, code = args.handler(args)
         payload["elapsed_ms"] = round((time.perf_counter() - start) * 1000, 3)
+        payload["command"] = args.command
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

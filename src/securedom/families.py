@@ -10,8 +10,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import DomainError, Graph, require_edge_count, require_vertex_count
+from .graph import MAX_VERTICES, DomainError, Graph
 from .names import FAMILY_KINDS
+
+# Generated graphs may not exceed this many edges.  Every sparse family
+# stays below it up to MAX_VERTICES vertices; it bounds the dense ones,
+# which the vertex cap alone lets ask for about 5e13 edges.
+MAX_EDGES = 2 * MAX_VERTICES
 
 # Per kind: the least parameter n, then the vertex and edge counts of the
 # member for parameter n (see ``generate``).
@@ -31,8 +36,9 @@ class _Spec(NamedTuple):
 
 class FamilySpec(_Spec):
     """A family kind plus its size parameter (bounds per kind enforced; the
-    member may not exceed ``graph.MAX_VERTICES`` vertices or
-    ``graph.MAX_EDGES`` edges)."""
+    member may not exceed ``graph.MAX_VERTICES`` vertices or ``MAX_EDGES``
+    edges, checked before it is built, so a mistyped size parameter fails
+    at once instead of exhausting memory)."""
 
     __slots__ = ()
 
@@ -42,9 +48,9 @@ class FamilySpec(_Spec):
         least, vertices, edges = _SIZES[kind]
         if n < least:
             raise DomainError(f"family {kind} needs n >= {least}, got {n}")
-        what = f"family {kind} with n={n}"
-        require_vertex_count(vertices(n), what)
-        require_edge_count(edges(n), what)
+        for count, noun, cap in ((vertices(n), "vertices", MAX_VERTICES), (edges(n), "edges", MAX_EDGES)):
+            if count > cap:
+                raise DomainError(f"family {kind} with n={n} would have {count} {noun}; the cap is {cap}")
         return super().__new__(cls, kind, n)
 
 

@@ -20,9 +20,6 @@ from typing import IO, Iterable, NamedTuple
 # Ids at or above this bound are treated as corrupt input rather than a
 # request for an absurdly large adjacency table.
 MAX_VERTICES = 10**7
-# Generated graphs may not exceed this many edges.  Every sparse family
-# stays below it up to MAX_VERTICES vertices; it bounds the dense ones.
-MAX_EDGES = 2 * MAX_VERTICES
 
 
 class ParseError(ValueError):
@@ -31,20 +28,6 @@ class ParseError(ValueError):
 
 class DomainError(ValueError):
     """Structurally valid input outside an operation's domain."""
-
-
-def require_vertex_count(count: int, what: str) -> None:
-    """Refuse a generated graph above MAX_VERTICES before it is built, so a
-    mistyped size parameter fails at once instead of exhausting memory."""
-    if count > MAX_VERTICES:
-        raise DomainError(f"{what} would have {count} vertices; the cap is {MAX_VERTICES}")
-
-
-def require_edge_count(count: int, what: str) -> None:
-    """Refuse a generated graph above MAX_EDGES before it is built; the
-    vertex cap alone lets a dense family ask for about 5e13 edges."""
-    if count > MAX_EDGES:
-        raise DomainError(f"{what} would have {count} edges; the cap is {MAX_EDGES}")
 
 
 class ComponentLabeling(NamedTuple):
@@ -82,9 +65,9 @@ class Graph(NamedTuple):
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                raise DomainError(f"edge ({u}, {v}) outside vertex range{_span(n)}")
             pairs.append((u, v) if u < v else (v, u))
-        return _build(n, pairs, len(set(pairs)))
+        return _build(n, pairs)
 
     # -- basic queries ----------------------------------------------------
 
@@ -140,8 +123,12 @@ class Graph(NamedTuple):
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
-            span = f" 0..{self.n - 1}" if self.n else ": the graph has no vertices"
-            raise DomainError(f"vertex {v} outside range{span}")
+            raise DomainError(f"vertex {v} outside range{_span(self.n)}")
+
+
+def _span(n: int) -> str:
+    """The vertex range of an n-vertex graph as the range errors end it."""
+    return f" 0..{n - 1}" if n else ": the graph has no vertices"
 
 
 def flagged_reach(adj: tuple[tuple[int, ...], ...], flags: bytearray, root: int) -> int:
@@ -230,10 +217,11 @@ def lowpoint_walk(
     return timer - 1, pairs
 
 
-def _build(n: int, edges: list[tuple[int, int]], distinct: int) -> Graph:
-    """Graph on 0..n-1 from checked (min, max) edges, ``distinct`` of them
-    different: per-vertex buckets, deduplicated only when that count shows
-    a repeat, each sorted once."""
+def _build(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """Graph on 0..n-1 from checked (min, max) edges: per-vertex buckets,
+    deduplicated only when the distinct-edge count shows a repeat, each
+    sorted once."""
+    distinct = len(set(edges))
     buckets: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         buckets[u].append(v)
@@ -307,7 +295,7 @@ def from_edge_list(source: str | IO[str]) -> Graph:
     n = max_id + 1
     if header_n is not None and header_n < n:
         raise ParseError(f"header declares {header_n} vertices but id {max_id} appears")
-    graph = _build(n, edges, len(set(edges)))
+    graph = _build(n, edges)
     if header_n is not None and header_n > n:
         # Vertices above the largest id are isolated: they share one empty
         # tuple instead of a bucket each.

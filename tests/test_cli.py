@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import io
 import json
@@ -67,6 +68,28 @@ def test_gamma_json_payload(graph_file, capsys):
     assert payload["graph"] == {"n": 5, "m": 6}
     assert payload["value"] == 3
     assert payload["witness"] == "0,2,3"
+
+
+# One quick run of each subcommand, with the input file as {graph}.
+ONE_RUN_EACH = {
+    "gamma": ["--in", "{graph}"],
+    "verify": ["--in", "{graph}", "--set", "1,2"],
+    "recognize": ["--in", "{graph}"],
+    "family": ["--kind", "ladder", "--n", "3"],
+    "reduce": ["--kind", "dm_to_scdm", "--in", "{graph}", "--param", "2"],
+    "check-equivalence": ["--kind", "dm_to_scdm", "--in", "{graph}"],
+    "crosscheck": ["--grid", "families"],
+}
+
+
+def test_every_subcommand_names_itself_in_its_json(graph_file, capsys):
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(ONE_RUN_EACH) == sorted(sub.choices)
+    path = graph_file(P4)
+    for command, flags in ONE_RUN_EACH.items():
+        code, out, _ = run(capsys, "--format", "json", command, *(f.format(graph=path) for f in flags))
+        assert code == 0, command
+        assert json.loads(out)["command"] == command
 
 
 def test_gamma_accepts_family_input(capsys):
@@ -232,7 +255,7 @@ def test_size_parameters_above_the_vertex_cap_are_refused_before_building():
     assert result.stderr.count("the cap is 10000000") == len(ABOVE_VERTEX_CAP), result.stderr
 
 
-# Above graph.MAX_EDGES (2e7) with vertex counts far below MAX_VERTICES:
+# Above families.MAX_EDGES (2e7) with vertex counts far below MAX_VERTICES:
 # K_20000 has about 2e8 edges, and K_6326 is the first complete graph over.
 ABOVE_EDGE_CAP = [
     ["family", "--kind", "complete", "--n", "20000"],

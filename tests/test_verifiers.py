@@ -286,6 +286,13 @@ def test_the_empty_graph_names_its_empty_range():
         parse_vertex_set("1,3", path_graph(3))
 
 
+def test_from_edges_names_the_same_range():
+    with pytest.raises(DomainError, match=r"^edge \(0, 1\) outside vertex range: the graph has no vertices$"):
+        Graph.from_edges(0, [(0, 1)])
+    with pytest.raises(DomainError, match=r"^edge \(0, 5\) outside vertex range 0\.\.1$"):
+        Graph.from_edges(2, [(0, 5)])
+
+
 def test_checkers_are_total_on_disconnected_graphs():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected_dominating(g, {0, 1})
