@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse errors, 2 domain errors (wrong graph class,
+Exit codes: 0 success, 1 parse errors and a standard output that closed
+before the answer was written, 2 domain errors (wrong graph class,
 disconnected input, bad flags, an input too large for the available
 memory), 3 crosscheck mismatches, 4 internal errors (an answer that failed
 its own re-verification or a broken solver invariant, reported as
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 import warnings
@@ -379,10 +381,17 @@ def main(argv: list[str] | None = None) -> int:
         if collecting:
             gc.enable()
         warnings.showwarning = show
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("\n".join(text))
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print("\n".join(text))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point fd 1 at the null device so that
+        # the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

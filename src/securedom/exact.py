@@ -52,7 +52,8 @@ def solve(
     search is exponential); pass ``max_n=None`` to override.
 
     The secure-connected search short-circuits complete graphs and forces
-    leaves and supports into every candidate (n >= 3).  Every request runs
+    leaves and supports into every candidate (n >= 3); the ds and sds
+    searches force every isolated vertex.  Every request runs
     one search, from size max(1, forced-set size): the candidates are walked
     as bitsets in combinations order, with two branch cuts, two cover
     filters and a connectivity filter in front of the checker
@@ -76,6 +77,9 @@ def solve(
     if variant == "scds" and graph.n >= 3:
         # every leaf and support is mandatory
         forced = graph.leaves() | graph.supports()
+    elif variant in ("ds", "sds"):
+        # an isolated vertex dominates only itself
+        forced = frozenset(v for v, nbrs in enumerate(graph.adj) if not nbrs)
 
     witness, nodes = _bitset_search(graph, variant, forced)
     if witness is None:

@@ -24,7 +24,7 @@ from collections import deque
 from itertools import combinations
 from typing import Callable, Collection, NamedTuple
 
-from .graph import DomainError, Graph, lowpoint_walk
+from .graph import DomainError, Graph, cut_vertices, lowpoint_walk
 from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, formula_report, trivial_complete
 
 
@@ -87,15 +87,13 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
 
     Deterministic: blocks come in the order the walk closes them, each
     starting with the vertex p it closes at.  Requires a connected graph.
-    That p is a cut vertex, unless it is the DFS root 0 and closes only one
-    block.
+    The cut vertices come from ``graph.cut_vertices``.
     """
     n = graph.n
     if n == 1:
         return BlockDecomposition(blocks=((0,),), cut_vertices=frozenset(), cliques=True)
     records: list[int] = []
     disc, pairs = _walk_whole(graph, records)
-    heads = records[0::3]
     # A block holds its head and the vertices of its interval that no block
     # closed inside it took.  Those blocks took whole intervals, which
     # ``skip`` jumps; ``order`` maps preorder numbers back to vertices.
@@ -104,7 +102,7 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
         order[d] = v
     skip = [0] * (n + 1)
     blocks: list[tuple[int, ...]] = []
-    for p, lo, hi in zip(heads, records[1::3], records[2::3]):
+    for p, lo, hi in zip(records[0::3], records[1::3], records[2::3]):
         block = [p]
         i = lo
         while i < hi:
@@ -115,11 +113,8 @@ def block_decompose(graph: Graph) -> BlockDecomposition:
                 i += 1
         skip[lo] = hi
         blocks.append(tuple(block))
-    cut = set(heads)
-    if heads.count(0) == 1:
-        cut.discard(0)
     return BlockDecomposition(
-        blocks=tuple(blocks), cut_vertices=frozenset(cut), cliques=pairs == graph.m
+        blocks=tuple(blocks), cut_vertices=cut_vertices(records, 0), cliques=pairs == graph.m
     )
 
 

@@ -217,6 +217,15 @@ def lowpoint_walk(
     return timer - 1, pairs
 
 
+def cut_vertices(blocks: list[int], root: int) -> frozenset[int]:
+    """The cut vertices of the subgraph a ``lowpoint_walk`` from ``root``
+    covered, read off its block records: every head, minus the root when
+    it heads only one block."""
+    heads = blocks[0::3]
+    cut = frozenset(heads)
+    return cut - {root} if heads.count(root) == 1 else cut
+
+
 def _build(n: int, edges: list[tuple[int, int]]) -> Graph:
     """Graph on 0..n-1 from checked (min, max) edges: per-vertex buckets,
     deduplicated only when the distinct-edge count shows a repeat, each

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterable
 
-from .graph import DomainError, Graph, flagged_reach, lowpoint_walk
+from .graph import DomainError, Graph, cut_vertices, flagged_reach, lowpoint_walk
 from .names import VARIANTS
 
 
@@ -148,57 +148,53 @@ class _Cuts:
     Each block the walk closes at a member v names a separating subtree of
     v by its preorder interval [lo, hi); those subtrees are components of
     G[S - v], and the rest of S - v, non-empty unless v is the root, is one
-    more.  ``parts[v]`` counts those components; it is 1 unless v is a cut
-    vertex.
+    more.  ``cut`` holds the members for which there are two or more.
     """
 
     def __init__(self, adj: tuple[tuple[int, ...], ...], members: set[int] | frozenset[int]) -> None:
-        n = len(adj)
-        disc = [n + 1] * n
+        self.disc = disc = [len(adj) + 1] * len(adj)
         for v in members:
             disc[v] = 0
-        root = min(members)
-        records: list[int] = []
-        lowpoint_walk(adj, disc, root, records)
-        parts = [1] * n
-        parts[root] = 0
-        # end[lo] = hi for each interval; 0 elsewhere, non-members' n + 1 too
-        end = [0] * (n + 2)
-        for i in range(0, len(records), 3):
-            parts[records[i]] += 1
-            end[records[i + 1]] = records[i + 2]
-        self.adj, self.disc, self.end, self.parts = adj, disc, end, parts
-        self._bounds: dict[int, list[int]] = {}
+        self.root = root = min(members)
+        self.records: list[int] = []
+        lowpoint_walk(adj, disc, root, self.records)
+        self.cut = cut_vertices(self.records, root)
+        self._grouped: dict[int, list[int]] | None = None
+
+    def parts(self, v: int) -> tuple[int, list[int]]:
+        """The number of components of G[S - v] and the flat bounds
+        [lo0, hi0, lo1, hi1, ...] of v's separating subtrees.
+
+        Every head's bounds are grouped from the records on the first call;
+        they arrive ascending, as the walk closes a vertex's blocks in the
+        order it enters their subtrees.
+        """
+        if self._grouped is None:
+            records = self.records
+            self._grouped = {}
+            for p, lo, hi in zip(records[0::3], records[1::3], records[2::3]):
+                self._grouped.setdefault(p, []).extend((lo, hi))
+        bounds = self._grouped.get(v, [])
+        return len(bounds) // 2 + (v != self.root), bounds
 
     def touches_all(self, v: int, members: list[int]) -> bool:
         """Whether ``members`` (the member neighbours of an outside vertex, v
         among them) meet every component of G[S - v].
 
         Each member other than v is placed by bisecting its preorder number
-        into the flat bounds [lo0, hi0, lo1, hi1, ...] of v's separating
-        subtrees: an odd insertion point names one of them, an even one
-        means the rest of S - v.  The subtrees' roots are the neighbours of
-        v numbered after v that start an interval: any other neighbour
-        numbered after v meets v by a back edge, so its lowpoint is below
-        its parent's number and no block closes at it.
+        into v's bounds: an odd insertion point names a separating subtree,
+        an even one means the rest of S - v.
         """
-        parts = self.parts[v]
-        if len(members) <= parts:
+        count, bounds = self.parts(v)
+        if len(members) <= count:
             return False
         disc = self.disc
-        bounds = self._bounds.get(v)
-        if bounds is None:
-            end, dv = self.end, disc[v]
-            bounds = []
-            for lo in sorted(disc[c] for c in self.adj[v] if dv < disc[c] and end[disc[c]]):
-                bounds += (lo, end[lo])
-            self._bounds[v] = bounds
         touched = set()
         for x in members:
             if x != v:
                 i = bisect_right(bounds, disc[x])
                 touched.add(i if i & 1 else 0)
-        return len(touched) == parts
+        return len(touched) == count
 
 
 def _first_undefended(
@@ -253,8 +249,7 @@ def _first_undefended(
             continue
         if cuts is None:
             cuts = _Cuts(adj, s)
-        parts = cuts.parts
-        if any(parts[v] == 1 for v in defenders) or any(cuts.touches_all(v, members) for v in defenders):
+        if any(v not in cuts.cut for v in defenders) or any(cuts.touches_all(v, members) for v in defenders):
             continue
         return u
     return None

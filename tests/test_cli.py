@@ -522,8 +522,13 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("parse error: input is not ASCII edge-list text: ")
 
 
+def _package_env() -> dict[str, str]:
+    """The environment of a fresh ``python -m securedom`` on this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_non_ascii_stdin_bytes_are_refused_in_a_fresh_process():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    env = _package_env()
     done = subprocess.run(
         [sys.executable, "-m", "securedom", "recognize", "--in", "-"],
         input=ARABIC_INDIC_EDGES.encode("utf-8"),
@@ -533,6 +538,40 @@ def test_non_ascii_stdin_bytes_are_refused_in_a_fresh_process():
     )
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr.startswith(b"parse error: input is not ASCII edge-list text: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_early_ends_in_exit_1_without_a_traceback(fmt):
+    # The ladder's edge list is megabytes, far above a pipe's 64 KiB, so the
+    # writer is still printing when the pipe closes.
+    env = _package_env()
+    with subprocess.Popen(
+        [sys.executable, "-m", "securedom", "--format", fmt, "family", "--kind", "ladder", "--n", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        assert child.stdout.read(16)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("variant", ["ds", "sds"])
+def test_exact_search_answers_an_edgeless_graph_above_the_recursion_limit(variant):
+    # 1100 picks would nest 1100 calls of the search's walk; the isolated
+    # vertices are forced instead, so no pick is left to make.
+    done = subprocess.run(
+        [sys.executable, "-m", "securedom", "gamma", "--method", "exact", "--max-n", "5000", "--variant", variant, "--in", "-"],
+        input="p 1100 0\n",
+        env=_package_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[:3] == ["value 1100", "witness " + ",".join(map(str, range(1100))), "method exact_search"]
 
 
 def test_verify_refuses_non_ascii_digits_in_the_set(graph_file, capsys):
@@ -708,7 +747,7 @@ def test_readme_command_lines_run_as_written(tmp_path):
     # the README's commands read graph.el; a ladder on 8 vertices is small
     # enough for every exact search they start and has the vertex 7 of --set
     (tmp_path / "graph.el").write_text(LADDER4)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    env = _package_env()
     commands = _readme_command_lines()
     for argv in commands:
         done = subprocess.run(

@@ -369,7 +369,8 @@ def test_cut_data_matches_component_labeling_after_each_deletion():
         cuts = verify._Cuts(g.adj, s)
         for v in s:
             labeling = g.components(restrict=s - {v})
-            assert cuts.parts[v] == labeling.count, (g.edges(), sorted(s), v)
+            assert cuts.parts(v)[0] == labeling.count, (g.edges(), sorted(s), v)
+            assert (v in cuts.cut) == (labeling.count > 1), (g.edges(), sorted(s), v)
             # every outside vertex next to v touches all of G[S - v] exactly
             # when its other member neighbours meet every component
             for u in g.adj[v]:

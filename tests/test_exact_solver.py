@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 
@@ -156,6 +158,15 @@ def test_pruned_search_matches_plain_enumeration():
             report = solve(g, variant)
             case = (g.n, g.edges(), variant)
             assert (report.value, report.witness) == plain_solve(g, variant), case
+    # isolated vertices, which the ds and sds searches force
+    rng = random.Random(1101)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        alone = set(rng.sample(range(n), rng.randint(1, n)))
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if alone.isdisjoint(e) and rng.random() < 0.4])
+        for variant in ("ds", "sds"):
+            report = solve(g, variant)
+            assert (report.value, report.witness) == plain_solve(g, variant), (g.n, g.edges(), variant)
 
 
 @pytest.mark.parametrize(
