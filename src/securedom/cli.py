@@ -21,24 +21,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import time
 import warnings
 
 # Each command imports the modules it runs when it runs, so a start pays
-# only for those; names.py holds the parser's vocabulary and imports nothing.
-from .graph import (
-    DomainError,
-    Graph,
-    ParseError,
-    format_vertex_set,
-    from_edge_list,
-    parse_vertex_set,
-    to_edge_list,
-)
-from .names import (
+# only for those; the package root holds the parser's vocabulary and imports
+# no submodule, and json loads only when a command prints JSON.
+from . import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
     FAMILY_KINDS,
@@ -47,6 +38,15 @@ from .names import (
     REDUCTION_KIND_NAMES,
     REDUCTION_KINDS,
     VARIANTS,
+)
+from .graph import (
+    DomainError,
+    Graph,
+    ParseError,
+    format_vertex_set,
+    from_edge_list,
+    parse_vertex_set,
+    to_edge_list,
 )
 
 
@@ -383,6 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = show
     try:
         if args.format == "json":
+            import json
+
             print(json.dumps(payload, sort_keys=True))
         else:
             print("\n".join(text))

@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each grid imports the solvers and builders it runs when it runs, so one
 # grid's request loads only its own modules.
+from . import DEFAULT_MAX_N, DEFAULT_SEED
 from .exact import solve
 from .graph import DomainError, Graph
-from .names import DEFAULT_MAX_N, DEFAULT_SEED
 from .verify import is_dominating, is_scds_definition
 
 if TYPE_CHECKING:

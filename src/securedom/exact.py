@@ -33,8 +33,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
 
+from . import DEFAULT_MAX_N, VARIANTS
 from .graph import DomainError, Graph
-from .names import DEFAULT_MAX_N, VARIANTS
 from .report import METHOD_EXACT, SolveReport, trivial_complete
 from .verify import failure_reason
 

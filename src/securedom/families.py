@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import FAMILY_KINDS
 from .graph import MAX_VERTICES, DomainError, Graph
-from .names import FAMILY_KINDS
 
 # Generated graphs may not exceed this many edges.  Every sparse family
 # stays below it up to MAX_VERTICES vertices; it bounds the dense ones,

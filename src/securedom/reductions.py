@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import DEFAULT_MAX_N, REDUCTION_KINDS
 from .graph import DomainError, Graph
-from .names import DEFAULT_MAX_N, REDUCTION_KINDS
 
 # The split recognizer loads with the split kinds and the exact search with
 # check_equivalence, so the universal and bipartite kinds build without them.

@@ -3,16 +3,17 @@
 and threshold formulas and the complete-graph shortcut that the exact
 search and the threshold formula share), and ``gamma``, the one dispatch.
 
-A leaf module: it imports only the standard library and ``names`` when
-loaded, so the linear-time solvers build reports without loading the exact
-search, and ``gamma`` loads a solver only when a request reaches it.
+A leaf module: it imports only the standard library and the package
+root's vocabulary when loaded, so the linear-time solvers build reports
+without loading the exact search, and ``gamma`` loads a solver only when a
+request reaches it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .names import DEFAULT_MAX_N, METHODS
+from . import DEFAULT_MAX_N, METHODS
 
 if TYPE_CHECKING:
     from .graph import Graph

@@ -32,8 +32,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterable
 
+from . import VARIANTS
 from .graph import DomainError, Graph, cut_vertices, flagged_reach, lowpoint_walk
-from .names import VARIANTS
 
 
 def is_dominating(graph: Graph, members: Iterable[int]) -> bool:

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SRC, run_python
+from securedom import FAMILY_KINDS, REDUCTION_KIND_NAMES
 from securedom.cli import build_parser, main
 from securedom.graph import MAX_VERTICES
-from securedom.names import FAMILY_KINDS, REDUCTION_KIND_NAMES
 from securedom.report import METHODS
 from securedom.verify import VARIANTS
 

@@ -1,33 +1,34 @@
 """What a start of the program loads, and the package surface that keeps it
-small: lazy package exports, the parser's leaf vocabulary module, and the
-NamedTuple records on the solve path."""
+small: lazy package exports, the parser's vocabulary in the package root,
+json only for JSON output, and the NamedTuple records on the solve path."""
 
 from __future__ import annotations
 
 import argparse
+import ast
 import inspect
-import json
 
 import pytest
 
 import securedom
 from conftest import block_counts, path_graph, run_python
-from securedom import crosscheck, exact, families, fast, graph, names, reductions, report, verify
+from securedom import crosscheck, exact, families, fast, graph, reductions, report, verify
 from securedom.cli import build_parser
 
 P4 = "0 1\n1 2\n2 3\n"
 
 # A fresh interpreter runs ``python -m securedom ARGV`` and reports, as the
-# last stderr line, the modules the run added to sys.modules.
+# last stderr line, the modules the run added to sys.modules.  The probe
+# writes a repr, not JSON, so that json is loaded only if the run loads it.
 START_PROBE = """
-import json, runpy, sys
+import runpy, sys
 before = set(sys.modules)
 sys.argv = ["securedom", *{argv!r}]
 try:
     runpy.run_module("securedom", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({{"code": code, "added": sorted(set(sys.modules) - before)}}), file=sys.stderr)
+print(repr((code, sorted(set(sys.modules) - before))), file=sys.stderr)
 """
 
 SOLVERS = {"securedom.fast", "securedom.exact"}
@@ -36,8 +37,8 @@ BUILDERS = {"securedom.families", "securedom.reductions", "securedom.crosscheck"
 
 def _start(argv: list[str]) -> tuple[int, set[str]]:
     result = run_python(START_PROBE.format(argv=argv))
-    probe = json.loads(result.stderr.splitlines()[-1])
-    return probe["code"], set(probe["added"])
+    code, added = ast.literal_eval(result.stderr.splitlines()[-1])
+    return code, set(added)
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -61,7 +62,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         assert code == 0, name
         assert "dataclasses" not in added[name], name
     package = {m for m in added["help"] if m.startswith("securedom")}
-    assert package == {"securedom", "securedom.cli", "securedom.graph", "securedom.names"}
+    assert package == {"securedom", "securedom.cli", "securedom.graph"}
     assert not added["verify"] & (SOLVERS | BUILDERS)
     assert "securedom.verify" in added["verify"]
     for name in ("gamma", "recognize"):
@@ -87,10 +88,28 @@ def test_bare_package_import_loads_no_submodule():
     result = run_python(
         "import sys\n"
         "import securedom\n"
+        "# the vocabulary exports are the root's own objects\n"
+        "securedom.VARIANTS, securedom.FAMILY_KINDS, securedom.REDUCTION_KINDS\n"
         "print(sorted(m for m in sys.modules if m.startswith('securedom.')))\n"
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_only_json_output_loads_json(tmp_path):
+    path = tmp_path / "p4.el"
+    path.write_text(P4)
+    runs = {
+        "help": (["--help"], 0),
+        "usage": (["gamma", "--variant", "nope", "--in", str(path)], 2),
+        "gamma": (["gamma", "--in", str(path)], 0),
+        "recognize": (["recognize", "--in", str(path)], 0),
+        "json": (["--format", "json", "gamma", "--in", str(path)], 0),
+    }
+    for name, (argv, expected) in runs.items():
+        code, added = _start(argv)
+        assert code == expected, name
+        assert ("json" in added) == (name == "json"), name
 
 
 def test_lazy_exports_resolve_to_their_home_objects():
@@ -133,21 +152,24 @@ def test_parser_vocabulary_is_the_library_tables():
     assert commands["crosscheck"]["grid"].choices == (*crosscheck.GRID_RUNNERS, "all")
     assert commands["crosscheck"]["seed"].default == crosscheck.DEFAULT_SEED
 
-    # The library binds its names to the leaf module's objects.
-    assert verify.VARIANTS is names.VARIANTS and exact.VARIANTS is names.VARIANTS
-    assert report.METHODS is names.METHODS
-    assert families.FAMILY_KINDS is names.FAMILY_KINDS
-    assert exact.DEFAULT_MAX_N is names.DEFAULT_MAX_N
-    assert crosscheck.DEFAULT_SEED is names.DEFAULT_SEED
-    assert reductions.REDUCTION_KINDS is names.REDUCTION_KINDS
-    assert names.REDUCTION_KIND_NAMES == tuple(sorted(reductions.REDUCTION_KINDS))
-    assert names.GRID_NAMES == tuple(crosscheck.GRID_RUNNERS)
+    # The library binds its names to the package root's objects.
+    assert verify.VARIANTS is securedom.VARIANTS and exact.VARIANTS is securedom.VARIANTS
+    assert report.METHODS is securedom.METHODS
+    assert families.FAMILY_KINDS is securedom.FAMILY_KINDS
+    assert exact.DEFAULT_MAX_N is securedom.DEFAULT_MAX_N
+    assert crosscheck.DEFAULT_SEED is securedom.DEFAULT_SEED
+    assert reductions.REDUCTION_KINDS is securedom.REDUCTION_KINDS
+    assert securedom.REDUCTION_KIND_NAMES == tuple(sorted(reductions.REDUCTION_KINDS))
+    assert securedom.GRID_NAMES == tuple(crosscheck.GRID_RUNNERS)
     for fn in (exact.solve, report.gamma):
-        assert inspect.signature(fn).parameters["max_n"].default is names.DEFAULT_MAX_N
-    assert commands["check-equivalence"]["max_output_n"].default == names.DEFAULT_MAX_N
-    assert inspect.signature(reductions.check_equivalence).parameters["max_output_n"].default is names.DEFAULT_MAX_N
+        assert inspect.signature(fn).parameters["max_n"].default is securedom.DEFAULT_MAX_N
+    assert commands["check-equivalence"]["max_output_n"].default == securedom.DEFAULT_MAX_N
+    assert (
+        inspect.signature(reductions.check_equivalence).parameters["max_output_n"].default
+        is securedom.DEFAULT_MAX_N
+    )
     for runner in (crosscheck.trees_grid, crosscheck.reductions_grid):
-        assert inspect.signature(runner).parameters["seed"].default is names.DEFAULT_SEED
+        assert inspect.signature(runner).parameters["seed"].default is securedom.DEFAULT_SEED
 
 
 def _records() -> dict[type, object]:
