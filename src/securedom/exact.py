@@ -8,14 +8,15 @@ are bit-stable across runs.
 Each request runs one such search, with no bound and no sub-solve: it
 starts at the size of the forced vertices (at least one) and walks the
 candidates depth first as Python-int vertex masks, carrying the prefix
-cover and double cover of the chosen members.  A branch that cannot
-dominate even with every remaining vertex is cut, and so, for scds and
-stds sets of two or more, is a branch that cannot give every outside
-vertex two member neighbours.  A full-size candidate reaches the variant's
-checker only if it dominates, for cds and scds induces a connected
-subgraph, and, for scds and stds sets of two or more, covers every outside
-vertex twice (see ``_bitset_search`` for why these cuts and filters only
-drop sets the checker would reject).  The checker is
+cover and double cover of the chosen members.  The walk is one loop over
+an explicit stack, so Python's recursion limit bounds no request.  A
+branch that cannot dominate even with every remaining vertex is cut, and
+so, for scds and stds sets of two or more, is a branch that cannot give
+every outside vertex two member neighbours.  A full-size candidate reaches
+the variant's checker only if it dominates, for cds and scds induces a
+connected subgraph, and, for scds and stds sets of two or more, covers
+every outside vertex twice (see ``_bitset_search`` for why these cuts and
+filters only drop sets the checker would reject).  The checker is
 ``verify.failure_reason``, and every returned witness has passed it.  The
 complete-graph report is built by ``report.trivial_complete``, which the
 linear-time solvers and the ``auto`` dispatch ``report.gamma`` share.
@@ -94,14 +95,18 @@ def _bitset_search(graph: Graph, variant: str, forced: frozenset[int]) -> tuple[
 
     Vertex sets are Python-int masks.  A candidate is the forced set plus one
     combination of the free vertices, walked depth first in combinations
-    order; each depth carries the prefix union ``once`` of the members' cover
-    masks (N[v], or N(v) for tds and stds) and ``twice``, the vertices
-    covered at least twice, both seeded with the forced set.  One leaf test,
-    ``leaves``, filters each full-size candidate and then checks it: the
-    walk hands it each run of last picks that survives the branch cuts, and
-    the forced set alone when that has the size sought.  The filters only
-    drop sets that the check rejects, so the first survivor it accepts is
-    the first certificate in combinations order:
+    order by one loop over an explicit stack: ``picked`` holds the free
+    indices chosen so far, and ``saved`` the state before each pick.  The
+    state is the union ``once`` of the members' cover masks (N[v], or N(v)
+    for tds and stds), ``twice``, the vertices covered at least twice, and
+    the member mask, all seeded with the forced set.  With ``left`` picks
+    still to make, each step at free index i either backtracks, when i has
+    passed len(free) - left or a branch cut fails; or descends, when two or
+    more picks are left; or runs the leaf test, on the last pick free[i] or,
+    with no pick, on the forced set alone when that has the size sought.
+    The leaf test filters the candidate and then checks it.  The filters
+    only drop sets that the check rejects, so the first survivor it accepts
+    is the first certificate in combinations order:
 
     - every variant dominates (totally for tds and stds), so a branch is cut
       as soon as ``once`` together with the masks of every later free vertex
@@ -123,11 +128,11 @@ def _bitset_search(graph: Graph, variant: str, forced: frozenset[int]) -> tuple[
       sets that test drops, and the checker sees the same sets in the same
       order.
 
-    Both cuts end a depth's loop, not just the branch: ``rest`` and
-    ``rest2`` only shrink as i grows.  At the last depth the loop only
-    finds that end, and the picks before it go to ``leaves``.  Returns the witness, or None when no
-    size up to n has one, and the number of full-size candidates the walk
-    reached.
+    A cut backtracks rather than skip i: ``rest`` and ``rest2`` only shrink
+    as i grows, so every later index at that depth fails it too.  The leaf
+    test reads the last pick's mask and bit beside the state before it, so
+    a leaf pushes nothing.  Returns the witness, or None when no size up to
+    n has one, and the number of full-size candidates the walk reached.
     """
     closed = variant not in ("tds", "stds")
     cover = [sum(1 << w for w in nbrs) | closed << v for v, nbrs in enumerate(graph.adj)]
@@ -147,55 +152,46 @@ def _bitset_search(graph: Graph, variant: str, forced: frozenset[int]) -> tuple[
         base_members |= 1 << v
 
     nodes = 0
-    double = False
     connected = variant in ("cds", "scds")
-    chosen: list[int] = []
-    # picks[i]: the mask, bit and vertex tuple that adding free[i] contributes
-    picks = list(zip(masks, bits, [(v,) for v in free]))
-
-    def leaves(
-        once: int, twice: int, members: int, run: list[tuple[int, int, tuple[int, ...]]]
-    ) -> frozenset[int] | None:
-        """The leaf test: the first candidate forced + chosen + last, for
-        each pick (mask, bit, last) of ``run`` in order, that is fully
-        covered, doubly covered and connected and passes the check."""
-        nonlocal nodes
-        for c, bit, last in run:
-            nodes += 1
-            if once | c != full:
-                continue
-            if double and twice | (once & c) | members | bit != full:
-                continue
-            if connected and not _members_connected(cover, members | bit):
-                continue
-            candidate = forced.union(chosen, last)
-            if failure_reason(graph, variant, candidate) is None:
-                return candidate
-        return None
-
-    def extend(first: int, left: int, once: int, twice: int, members: int) -> frozenset[int] | None:
-        stop = len(free) - left + 1
-        for i in range(first, stop):
-            if once | rest[i] != full or (double and twice | members | (once & rest[i]) | rest2[i] != full):
-                stop = i
-                break
-            if left > 1:
-                chosen.append(free[i])
-                found = extend(i + 1, left - 1, once | masks[i], twice | (once & masks[i]), members | bits[i])
-                chosen.pop()
-                if found is not None:
-                    return found
-        return leaves(once, twice, members, picks[first:stop]) if left == 1 else None
-
     for size in range(max(1, len(forced)), graph.n + 1):
-        need = size - len(forced)
+        left = size - len(forced)  # picks still to make
         double = variant in ("scds", "stds") and size >= 2
-        if need > 0:
-            found = extend(0, need, base_once, base_twice, base_members)
-        else:
-            found = leaves(base_once, base_twice, base_members, [(0, 0, ())])  # no pick: forced alone
-        if found is not None:
-            return found, nodes
+        once, twice, members = base_once, base_twice, base_members
+        picked: list[int] = []  # the free indices chosen so far
+        saved: list[tuple[int, int, int]] = []  # (once, twice, members) before each pick
+        i = 0
+        while True:
+            if left and (
+                i > len(free) - left
+                or once | rest[i] != full
+                or double and twice | members | (once & rest[i]) | rest2[i] != full
+            ):
+                if not picked:
+                    break
+                i = picked.pop() + 1
+                once, twice, members = saved.pop()
+                left += 1
+            elif left > 1:
+                saved.append((once, twice, members))
+                picked.append(i)
+                once, twice, members = once | masks[i], twice | (once & masks[i]), members | bits[i]
+                left -= 1
+                i += 1
+            else:
+                # the leaf test: the last pick free[i], or none when the forced set has the size
+                c, bit, last = (masks[i], bits[i], (free[i],)) if left else (0, 0, ())
+                nodes += 1
+                if (
+                    once | c == full
+                    and (not double or twice | (once & c) | members | bit == full)
+                    and (not connected or _members_connected(cover, members | bit))
+                ):
+                    candidate = forced.union([free[j] for j in picked], last)
+                    if failure_reason(graph, variant, candidate) is None:
+                        return candidate, nodes
+                if not left:
+                    break
+                i += 1
     return None, nodes
 
 

@@ -8,7 +8,7 @@ under the canonical labeling.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import FAMILY_KINDS
 from .graph import MAX_VERTICES, DomainError, Graph
@@ -52,6 +52,11 @@ class FamilySpec(_Spec):
             if count > cap:
                 raise DomainError(f"family {kind} with n={n} would have {count} {noun}; the cap is {cap}")
         return super().__new__(cls, kind, n)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> FamilySpec:
+        # namedtuple's _make skips __new__, and its _replace builds through _make
+        return cls(*iterable)
 
 
 def generate(spec: FamilySpec) -> Graph:

@@ -558,13 +558,12 @@ def test_a_reader_that_closes_early_ends_in_exit_1_without_a_traceback(fmt):
     assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
-@pytest.mark.parametrize("variant", ["ds", "sds"])
-def test_exact_search_answers_an_edgeless_graph_above_the_recursion_limit(variant):
-    # 1100 picks would nest 1100 calls of the search's walk; the isolated
-    # vertices are forced instead, so no pick is left to make.
+def _exact_search_takes_all_1100_vertices(variant: str, text: str) -> None:
+    """A fresh ``gamma --method exact`` on edge-list ``text`` answers with
+    all 1100 vertices, exit 0 and no stderr."""
     done = subprocess.run(
         [sys.executable, "-m", "securedom", "gamma", "--method", "exact", "--max-n", "5000", "--variant", variant, "--in", "-"],
-        input="p 1100 0\n",
+        input=text,
         env=_package_env(),
         capture_output=True,
         text=True,
@@ -572,6 +571,22 @@ def test_exact_search_answers_an_edgeless_graph_above_the_recursion_limit(varian
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[:3] == ["value 1100", "witness " + ",".join(map(str, range(1100))), "method exact_search"]
+
+
+@pytest.mark.parametrize("variant", ["ds", "sds"])
+def test_exact_search_answers_an_edgeless_graph_above_the_recursion_limit(variant):
+    # an isolated vertex dominates only itself, so it lies in every
+    # dominating set: the ds and sds searches force all 1100 and test that
+    # set alone, with no pick left to make
+    _exact_search_takes_all_1100_vertices(variant, "p 1100 0\n")
+
+
+def test_exact_search_walks_more_picks_than_the_recursion_limit():
+    # tds on a perfect matching forces no vertex and needs every one: the
+    # witness takes 1100 picks of the walk, past Python's default limit of
+    # 1000 nested calls
+    matching = "".join(f"{2 * i} {2 * i + 1}\n" for i in range(550))
+    _exact_search_takes_all_1100_vertices("tds", "p 1100 550\n" + matching)
 
 
 def test_verify_refuses_non_ascii_digits_in_the_set(graph_file, capsys):
@@ -741,6 +756,14 @@ def _readme_command_lines() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("securedom ")]
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    done = run_python(example)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert done.stdout == "4 [0, 1, 2, 3] block_formula\n"
 
 
 def test_readme_command_lines_run_as_written(tmp_path):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from conftest import canonical_form
@@ -33,6 +36,19 @@ def test_parameter_bounds():
             FamilySpec(kind, ceiling + 1)
     with pytest.raises(DomainError):
         FamilySpec("wheel", 3)
+    # the namedtuple builders go through the same checks
+    for build in (
+        lambda: FamilySpec._make(("star", -5)),
+        lambda: FamilySpec("ladder", 3)._replace(n=2),
+        lambda: FamilySpec("ladder", 3)._replace(kind="wheel"),
+        lambda: FamilySpec._make(("ladder", 5_000_001)),
+    ):
+        with pytest.raises(DomainError):
+            build()
+    spec = FamilySpec("ladder", 4)
+    assert spec._replace(n=5) == FamilySpec._make(("ladder", 5)) == ("ladder", 5)
+    assert type(spec._replace(n=5)) is FamilySpec
+    assert copy.copy(spec) == pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_size_formulas_match_generated_members():

@@ -165,6 +165,20 @@ def test_every_raise_is_one_the_cli_maps():
     assert stray == []
 
 
+def test_no_function_calls_itself():
+    # each Python call nests a frame, so a walk that calls itself per level
+    # ends in RecursionError (exit 4) on a deep enough input; walks keep an
+    # explicit stack.  Only bare names count: super().__new__ is no self-call.
+    calls = [
+        f"{module}:{inner.lineno}"
+        for module, node in _nodes()
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id == node.name
+    ]
+    assert calls == []
+
+
 def test_every_imported_name_is_read_in_its_module():
     # an import that binds a name its module never reads is a leftover;
     # annotations count as reads
