@@ -27,8 +27,9 @@ import time
 import warnings
 
 # Each command imports the modules it runs when it runs, so a start pays
-# only for those; the package root holds the parser's vocabulary and imports
-# no submodule, and json loads only when a command prints JSON.
+# only for those.  The package root holds the parser's vocabulary and the
+# gamma dispatch and imports no submodule; json loads only when a command
+# prints JSON.
 from . import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
@@ -38,6 +39,7 @@ from . import (
     REDUCTION_KIND_NAMES,
     REDUCTION_KINDS,
     VARIANTS,
+    gamma,
 )
 from .graph import (
     DomainError,
@@ -96,8 +98,6 @@ def _require_verified(graph: Graph, variant: str, witness: frozenset[int], sourc
 
 
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .report import gamma
-
     graph = _load_graph(args)
     report = gamma(graph, args.variant, args.method, max_n=args.max_n)
     _require_verified(graph, args.variant, report.witness, report.method)

@@ -18,14 +18,13 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 # Each grid imports the solvers and builders it runs when it runs, so one
 # grid's request loads only its own modules.
-from . import DEFAULT_MAX_N, DEFAULT_SEED
+from . import DEFAULT_MAX_N, DEFAULT_SEED, SolveReport
 from .exact import solve
 from .graph import DomainError, Graph
 from .verify import is_dominating, is_scds_definition
 
 if TYPE_CHECKING:
     from .fast import SplitPartition
-    from .report import SolveReport
 
 # (kind, parameters) of the family members the families grid checks.
 FAMILY_GRID = (

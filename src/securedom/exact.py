@@ -18,8 +18,9 @@ connected subgraph, and, for scds and stds sets of two or more, covers
 every outside vertex twice (see ``_bitset_search`` for why these cuts and
 filters only drop sets the checker would reject).  The checker is
 ``verify.failure_reason``, and every returned witness has passed it.  The
-complete-graph report is built by ``report.trivial_complete``, which the
-linear-time solvers and the ``auto`` dispatch ``report.gamma`` share.
+complete-graph report is built by ``securedom.trivial_complete``, which
+the linear-time solvers and the ``auto`` dispatch ``securedom.gamma``
+share.
 
 Also houses the small-graph isomorphism-class enumerator (a brute-force
 relabeling table over Python ints).
@@ -34,9 +35,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
 
-from . import DEFAULT_MAX_N, VARIANTS
+from . import DEFAULT_MAX_N, METHOD_EXACT, VARIANTS, SolveReport, trivial_complete
 from .graph import DomainError, Graph
-from .report import METHOD_EXACT, SolveReport, trivial_complete
 from .verify import failure_reason
 
 

@@ -13,8 +13,8 @@ degree-sorted vertex order, whose positions count the removed vertices; a
 graph with no vertex of degree 0 or n - 1 is refused before the sort.
 ``gamma_sc_formula`` picks a solver for ``auto`` from one threshold
 certificate and one ``_threshold_shape``, whose pendant count the threshold
-formula reuses.  Both solvers return through ``report.formula_report``, which
-checks that the witness size equals the formula's value.
+formula reuses.  Both solvers return through ``securedom.formula_report``,
+which checks that the witness size equals the formula's value.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from collections import deque
 from itertools import combinations
 from typing import Callable, Collection, NamedTuple
 
+from . import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, formula_report, trivial_complete
 from .graph import DomainError, Graph, cut_vertices, lowpoint_walk
-from .report import METHOD_BLOCK, METHOD_THRESHOLD, SolveReport, formula_report, trivial_complete
 
 
 class BlockDecomposition(NamedTuple):
@@ -167,20 +167,6 @@ def _clique_flags(graph: Graph, clique: Collection[int]) -> Callable[[int], int]
     return flag
 
 
-def validate_partition(graph: Graph, partition: SplitPartition) -> bool:
-    """True iff clique/independent cover V disjointly and induce what they claim.
-
-    ``_clique_flags`` checks the clique side, and every independent vertex
-    must have only flagged neighbours.
-    """
-    c, i = partition.clique, partition.independent
-    if c & i or (c | i) != frozenset(range(graph.n)):
-        return False
-    flag = _clique_flags(graph, c)
-    adj = graph.adj
-    return flag is not None and all(all(map(flag, adj[u])) for u in i)
-
-
 # An induced 2K2 is a 1-regular subgraph on four vertices, and C4 and C5 are
 # the only 2-regular graphs on four and five vertices, so an obstruction is a
 # subset whose internal degrees are all one value.
@@ -225,10 +211,12 @@ def recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
     while k < n and degs[k] >= k:
         k += 1
     if sum(degs[:k]) == k * (k - 1) + sum(degs[k:]):
-        partition = SplitPartition(
-            clique=frozenset(order[:k]), independent=frozenset(order[k:])
-        )
-        if validate_partition(graph, partition):
+        partition = SplitPartition(clique=frozenset(order[:k]), independent=frozenset(order[k:]))
+        # The sides split a permutation of the vertices, so they cover V
+        # disjointly; check that they induce what they claim.
+        flag = _clique_flags(graph, partition.clique)
+        adj = graph.adj
+        if flag is not None and all(all(map(flag, adj[u])) for u in partition.independent):
             return partition
     found = _find_split_obstruction(graph)
     if found is None:

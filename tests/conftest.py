@@ -9,7 +9,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from securedom import Graph, exact
+from securedom import Graph, SplitPartition, exact
 from securedom.verify import failure_reason
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,6 +56,27 @@ def block_counts(decomp) -> tuple[int, int, int]:
     cut-vertex count and the number of blocks made only of cut vertices."""
     cut = decomp.cut_vertices
     return len(decomp.blocks), len(cut), sum(1 for b in decomp.blocks if cut.issuperset(b))
+
+
+def validate_partition(graph: Graph, partition: SplitPartition) -> bool:
+    """True iff the clique and independent sides cover V disjointly and
+    induce a clique and an independent set, each side read in full."""
+    c, i = partition.clique, partition.independent
+    if c & i or (c | i) != frozenset(range(graph.n)):
+        return False
+    in_clique = bytearray(graph.n)
+    for v in c:
+        in_clique[v] = 1
+    flag = in_clique.__getitem__
+    adj = graph.adj
+    want = len(c) - 1
+    for u in c:
+        if sum(map(flag, adj[u])) != want:
+            return False
+    for u in i:
+        if not all(map(flag, adj[u])):
+            return False
+    return True
 
 
 def path_graph(n: int) -> Graph:

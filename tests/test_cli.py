@@ -19,10 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SRC, run_python
-from securedom import FAMILY_KINDS, REDUCTION_KIND_NAMES
+from securedom import FAMILY_KINDS, METHODS, REDUCTION_KIND_NAMES
 from securedom.cli import build_parser, main
 from securedom.graph import MAX_VERTICES
-from securedom.report import METHODS
 from securedom.verify import VARIANTS
 
 P4 = "0 1\n1 2\n2 3\n"
@@ -657,7 +656,7 @@ def test_solver_invariant_failure_is_an_internal_error(graph_file, capsys, monke
     def broken(*args, **kwargs):
         raise RuntimeError("block witness size disagrees with the formula")
 
-    monkeypatch.setattr("securedom.report.gamma", broken)
+    monkeypatch.setattr("securedom.cli.gamma", broken)
     code, _, err = run(capsys, "gamma", "--in", graph_file(BOWTIE))
     assert code == 4
     assert err == "internal error: block witness size disagrees with the formula\n"
@@ -756,6 +755,16 @@ def _readme_command_lines() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("securedom ")]
+
+
+def test_readme_module_table_names_every_module():
+    # the "What is inside" table has one securedom.<name> row per module
+    # file; the root and __main__ are described below it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^\| `securedom\.(\w+)` \|", table, re.MULTILINE))
+    modules = {path.stem for path in (SRC / "securedom").glob("*.py")} - {"__init__", "__main__"}
+    assert named == modules
 
 
 def test_readme_library_example_runs_as_written():

@@ -16,6 +16,8 @@ from conftest import (
     star_graph,
 )
 from securedom import (
+    METHOD_EXACT,
+    METHOD_TRIVIAL,
     DomainError,
     Graph,
     check_equivalence,
@@ -29,7 +31,6 @@ from securedom import (
 )
 from securedom.families import FamilySpec, generate
 from securedom.fast import ThresholdRejection, is_block_graph, recognize_threshold
-from securedom.report import METHOD_EXACT, METHOD_TRIVIAL
 from securedom.verify import VARIANTS, check_variant
 
 

@@ -18,8 +18,13 @@ from conftest import (
     cycle_graph,
     path_graph,
     star_graph,
+    validate_partition,
 )
 from securedom import (
+    METHOD_BLOCK,
+    METHOD_EXACT,
+    METHOD_THRESHOLD,
+    METHOD_TRIVIAL,
     DomainError,
     Graph,
     SplitPartition,
@@ -40,10 +45,9 @@ from securedom import (
     recognize_split,
     recognize_threshold,
     solve,
+    trivial_complete,
 )
 from securedom.cli import main
-from securedom.fast import validate_partition
-from securedom.report import METHOD_BLOCK, METHOD_EXACT, METHOD_THRESHOLD, METHOD_TRIVIAL, trivial_complete
 from securedom.verify import is_scds_definition
 
 

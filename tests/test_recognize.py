@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import bench_block_graph, bench_threshold_graph, canonical_form
+from conftest import bench_block_graph, bench_threshold_graph, canonical_form, validate_partition
 from securedom import (
     DomainError,
     Graph,
@@ -398,25 +398,6 @@ def test_recognize_threshold_rejects_with_the_same_reason_when_the_certificate_f
 # same records, field by field.
 
 
-def _copied_validate_partition(graph: Graph, partition: SplitPartition) -> bool:
-    c, i = partition.clique, partition.independent
-    if c & i or (c | i) != frozenset(range(graph.n)):
-        return False
-    in_clique = bytearray(graph.n)
-    for v in c:
-        in_clique[v] = 1
-    flag = in_clique.__getitem__
-    adj = graph.adj
-    want = len(c) - 1
-    for u in c:
-        if sum(map(flag, adj[u])) != want:
-            return False
-    for u in i:
-        if not all(map(flag, adj[u])):
-            return False
-    return True
-
-
 def _copied_recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
     n = graph.n
     adj = graph.adj
@@ -427,7 +408,7 @@ def _copied_recognize_split(graph: Graph) -> SplitPartition | SplitRejection:
         k += 1
     if sum(degs[:k]) == k * (k - 1) + sum(degs[k:]):
         partition = SplitPartition(clique=frozenset(order[:k]), independent=frozenset(order[k:]))
-        if _copied_validate_partition(graph, partition):
+        if validate_partition(graph, partition):
             return partition
     # the obstruction search is not part of the change, so both sides share it
     found = fast._find_split_obstruction(graph)
@@ -531,17 +512,6 @@ def _parity_corpus():
     yield bench_block_graph(20_000)
 
 
-def _partitions(graph: Graph):
-    """The degree order's prefixes of length k - 1, k and k + 1 as clique
-    sides, k being the split test's clique size."""
-    order = sorted(range(graph.n), key=lambda v: (-len(graph.adj[v]), v))
-    k = 0
-    while k < graph.n and len(graph.adj[order[k]]) >= k:
-        k += 1
-    for size in range(max(k - 1, 0), min(k + 1, graph.n) + 1):
-        yield SplitPartition(frozenset(order[:size]), frozenset(order[size:]))
-
-
 def _same(record, expected) -> bool:
     return type(record) is type(expected) and tuple(record) == tuple(expected)
 
@@ -557,13 +527,8 @@ def test_recognizers_return_the_records_of_the_code_they_replaced():
         expected = _copied_recognize_split(graph)
         assert _same(recognize_split(graph), expected), graph.edges()
         outcomes[type(expected).__name__, getattr(expected, "obstruction_kind", None)] += 1
-        for partition in _partitions(graph):
-            verdict = _copied_validate_partition(graph, partition)
-            assert fast.validate_partition(graph, partition) == verdict, (graph.edges(), partition)
-            outcomes["validate_partition", verdict] += 1
     # refused before the sort (every vertex left) and during the peel
     assert {"empty graph", "no isolated or universal vertex remains"} <= set(outcomes)
     assert set(_peel_refusals) == {True, False}
     kinds = {None, "2K2", "C4", "C5"}
     assert {("SplitPartition", None)} | {("SplitRejection", k) for k in kinds} <= set(outcomes)
-    assert {("validate_partition", True), ("validate_partition", False)} <= set(outcomes)

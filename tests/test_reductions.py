@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import complete_graph, fig_five_vertex_graph, path_graph, plain_solve
+from conftest import complete_graph, fig_five_vertex_graph, path_graph, plain_solve, validate_partition
 from securedom import (
     DomainError,
     Graph,
@@ -17,7 +17,6 @@ from securedom import (
     to_edge_list,
 )
 from securedom.crosscheck import MEASURED_REDUCTION_KINDS
-from securedom.fast import validate_partition
 from securedom.reductions import REDUCTION_KINDS, build
 from securedom.verify import is_scds, is_scds_definition
 

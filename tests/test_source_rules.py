@@ -7,7 +7,7 @@ import ast
 import pytest
 
 from conftest import SRC
-from securedom.report import METHOD_BLOCK, formula_report
+from securedom import METHOD_BLOCK, formula_report
 
 # Wrapped or read by name in perfbench/tracer.py (ROADMAP items 7 and 8), so
 # the rules below keep them while the tracer does.
@@ -29,15 +29,15 @@ def test_no_module_relies_on_assert():
     assert [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)] == []
 
 
-def test_only_report_and_exact_build_solve_reports():
-    # every closed-form answer goes through report.formula_report, which
+def test_only_the_root_and_exact_build_solve_reports():
+    # every closed-form answer goes through securedom.formula_report, which
     # checks its witness size; the exact search builds its own report
     builders = {
         name
         for name, node in _nodes()
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SolveReport"
     }
-    assert builders == {"report.py", "exact.py"}
+    assert builders == {"__init__.py", "exact.py"}
 
 
 def test_only_reductions_build_makes_artifacts():

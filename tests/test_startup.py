@@ -12,7 +12,7 @@ import pytest
 
 import securedom
 from conftest import block_counts, path_graph, run_python
-from securedom import crosscheck, exact, families, fast, graph, reductions, report, verify
+from securedom import crosscheck, exact, families, fast, graph, reductions, verify
 from securedom.cli import build_parser
 
 P4 = "0 1\n1 2\n2 3\n"
@@ -75,9 +75,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # and a family without --emit-witness checks no witness.
     assert not added["reduce"] & {"securedom.fast", "securedom.exact", "securedom.verify"}
     assert "securedom.verify" not in added["family"]
-    # The dispatch lives in report: the search alone loads no formula.
+    # The dispatch lives in the root: the search alone loads no formula.
     assert not added["exact"] & (BUILDERS | {"securedom.fast"})
-    assert {"securedom.exact", "securedom.verify", "securedom.report"} <= added["exact"]
+    assert {"securedom.exact", "securedom.verify"} <= added["exact"]
     # Each grid loads its own modules; the trees grid needs no builder.
     assert not added["crosscheck"] & {"securedom.families", "securedom.reductions"}
     assert not added["families_grid"] & {"securedom.fast", "securedom.reductions"}
@@ -90,6 +90,16 @@ def test_bare_package_import_loads_no_submodule():
         "import securedom\n"
         "# the vocabulary exports are the root's own objects\n"
         "securedom.VARIANTS, securedom.FAMILY_KINDS, securedom.REDUCTION_KINDS\n"
+        "print(sorted(m for m in sys.modules if m.startswith('securedom.')))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_the_dispatch_and_the_solve_record_load_no_submodule():
+    result = run_python(
+        "import sys\n"
+        "from securedom import gamma, SolveReport, formula_report, trivial_complete, METHOD_EXACT\n"
         "print(sorted(m for m in sys.modules if m.startswith('securedom.')))\n"
     )
     assert result.returncode == 0, result.stderr
@@ -115,10 +125,14 @@ def test_only_json_output_loads_json(tmp_path):
 def test_lazy_exports_resolve_to_their_home_objects():
     assert securedom.__all__ == sorted(securedom.__all__)
     assert len(securedom.__all__) == 44
-    homes = {name: module for module, exported in securedom._EXPORTS.items() for name in exported}
+    # SolveReport and gamma are the root's own; the rest load from a submodule
+    homes = {
+        name: getattr(securedom, module) for module, exported in securedom._EXPORTS.items() for name in exported
+    }
+    homes.update(SolveReport=securedom, gamma=securedom)
     assert sorted(homes) == securedom.__all__
     for name in securedom.__all__:
-        home = getattr(securedom, homes[name])
+        home = homes[name]
         obj = getattr(securedom, name)
         assert obj is getattr(home, name), name
         if inspect.isclass(obj) or inspect.isfunction(obj):
@@ -145,7 +159,7 @@ def test_parser_vocabulary_is_the_library_tables():
     for name in ("gamma", "verify", "recognize", "reduce", "check-equivalence"):
         assert commands[name]["family"].choices is families.FAMILY_KINDS
     assert commands["family"]["kind"].choices is families.FAMILY_KINDS
-    assert commands["gamma"]["method"].choices is report.METHODS
+    assert commands["gamma"]["method"].choices is securedom.METHODS
     assert commands["gamma"]["max_n"].default == exact.DEFAULT_MAX_N
     for name in ("reduce", "check-equivalence"):
         assert list(commands[name]["kind"].choices) == sorted(reductions.REDUCTION_KINDS)
@@ -154,14 +168,13 @@ def test_parser_vocabulary_is_the_library_tables():
 
     # The library binds its names to the package root's objects.
     assert verify.VARIANTS is securedom.VARIANTS and exact.VARIANTS is securedom.VARIANTS
-    assert report.METHODS is securedom.METHODS
     assert families.FAMILY_KINDS is securedom.FAMILY_KINDS
     assert exact.DEFAULT_MAX_N is securedom.DEFAULT_MAX_N
     assert crosscheck.DEFAULT_SEED is securedom.DEFAULT_SEED
     assert reductions.REDUCTION_KINDS is securedom.REDUCTION_KINDS
     assert securedom.REDUCTION_KIND_NAMES == tuple(sorted(reductions.REDUCTION_KINDS))
     assert securedom.GRID_NAMES == tuple(crosscheck.GRID_RUNNERS)
-    for fn in (exact.solve, report.gamma):
+    for fn in (exact.solve, securedom.gamma):
         assert inspect.signature(fn).parameters["max_n"].default is securedom.DEFAULT_MAX_N
     assert commands["check-equivalence"]["max_output_n"].default == securedom.DEFAULT_MAX_N
     assert (
@@ -178,7 +191,7 @@ def _records() -> dict[type, object]:
     return {
         graph.Graph: g,
         graph.ComponentLabeling: g.components(),
-        report.SolveReport: exact.solve(g, "scds"),
+        securedom.SolveReport: exact.solve(g, "scds"),
         fast.BlockDecomposition: fast.block_decompose(g),
         fast.SplitPartition: fast.recognize_split(g),
         fast.SplitRejection: fast.recognize_split(graph.Graph.from_edges(4, [(0, 1), (2, 3)])),
@@ -199,7 +212,7 @@ def test_solve_path_records_keep_their_repr_hash_and_immutability():
     g = graph.Graph.from_edges(3, [(1, 2), (0, 1)])
     assert repr(g) == "Graph(n=3, adj=((1,), (0, 2), (1,)), m=2)"
     assert hash(g) == hash((3, ((1,), (0, 2), (1,)), 2))
-    solved = report.SolveReport(1, frozenset({0}), "trivial_complete", 0)
+    solved = securedom.SolveReport(1, frozenset({0}), "trivial_complete", 0)
     assert repr(solved) == (
         "SolveReport(value=1, witness=frozenset({0}), method='trivial_complete', nodes_explored=0)"
     )
